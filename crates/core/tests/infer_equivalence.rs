@@ -368,6 +368,29 @@ fn one_shot_sample_equals_oracle() {
     assert_sampled_identical(&model.sample(&attrs, 12), &model.sample_via_tape(&attrs, 12));
 }
 
+/// Hidden 48 (the `standard()` width): the fused decoder head's shared
+/// suffix is wider than 32 columns, so this is the width that used to
+/// overflow a fixed suffix buffer.
+#[test]
+fn hidden_48_sampling_matches_oracle() {
+    let mut rng = StdRng::seed_from_u64(48);
+    let corpus: Vec<CircuitGraph> = (0..2)
+        .map(|_| random_circuit_with_size(&mut rng, 16))
+        .collect();
+    let mut cfg = DiffusionConfig::tiny();
+    cfg.hidden = 48;
+    cfg.epochs = 2;
+    let model = DiffusionModel::train(&corpus, cfg, 48).unwrap();
+    let mut scratch = SamplerScratch::new();
+    for seed in 0..3u64 {
+        let attrs = random_attrs(8 + seed as usize * 9, seed);
+        assert_sampled_identical(
+            &model.sample_with(&attrs, seed, &mut scratch),
+            &model.sample_via_tape(&attrs, seed),
+        );
+    }
+}
+
 // --- 5. scratch reuse across the service surface -----------------------
 
 fn service_model() -> &'static SynCircuit {

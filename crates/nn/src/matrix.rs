@@ -10,10 +10,6 @@ use std::fmt;
 /// tile fits in two 256-bit vector registers.
 const TILE: usize = 16;
 
-/// Longest shared suffix [`Matrix::matmul_packed_cat_bias_into`]
-/// accepts: its row-invariant products live in a fixed stack buffer.
-const MAX_SHARED_SUFFIX: usize = 32;
-
 /// Writeback of one tile accumulator: broadcast bias add, optional
 /// ReLU, then the copy of the tile's live lanes. Each step is the
 /// identical per-element operation the unfused op sequence performs,
@@ -457,8 +453,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics when `self.cols() + suffix.len() != rhs.rows()`, when
-    /// `bias` is not `1 × rhs.cols()`, or when `suffix` is longer than
-    /// 32 (the kernel's stack buffer for shared products).
+    /// `bias` is not `1 × rhs.cols()`.
     pub fn matmul_packed_cat_bias_into(
         &self,
         suffix: &[f32],
@@ -487,10 +482,6 @@ impl Matrix {
         out: &mut Matrix,
     ) {
         let s_len = suffix.map_or(0, <[f32]>::len);
-        assert!(
-            s_len <= MAX_SHARED_SUFFIX,
-            "shared suffix longer than {MAX_SHARED_SUFFIX} (got {s_len})"
-        );
         assert_eq!(
             self.cols + s_len,
             rhs.rows,
@@ -532,7 +523,7 @@ impl Matrix {
             // products, computed once and added after each row's own
             // terms — the same values in the same `k` order the
             // concatenated dot would produce.
-            let mut ps = [0.0f32; MAX_SHARED_SUFFIX];
+            let mut ps = vec![0.0f32; s_len];
             if let Some(sfx) = suffix {
                 for (j, &sv) in sfx.iter().enumerate() {
                     let rv = rhs.data[(k + j) * TILE];
@@ -540,7 +531,6 @@ impl Matrix {
                     ps[j] = f32::from_bits((sv * rv).to_bits() & keep);
                 }
             }
-            let ps = &ps[..s_len];
             let prefix = &rhs.data[..k * TILE];
             let tier = simd_tier();
             let mut r = 0usize;
@@ -568,7 +558,7 @@ impl Matrix {
                     }
                 }
                 for si in &mut s {
-                    for &p in ps {
+                    for &p in &ps {
                         *si += p;
                     }
                     if bias.is_some() {
@@ -588,7 +578,7 @@ impl Matrix {
                     let keep = (((a.to_bits() << 1) != 0) as u32).wrapping_neg();
                     s += f32::from_bits((a * col[0]).to_bits() & std::hint::black_box(keep));
                 }
-                for &p in ps {
+                for &p in &ps {
                     s += p;
                 }
                 if bias.is_some() {
@@ -605,7 +595,7 @@ impl Matrix {
         let tier = simd_tier();
         let panel_len = rhs.rows * TILE;
         let tiles = d.div_ceil(TILE);
-        let mut sprod = [[0.0f32; TILE]; MAX_SHARED_SUFFIX];
+        let mut sprod = vec![[0.0f32; TILE]; s_len];
         for tile in 0..tiles {
             let panel = &rhs.data[tile * panel_len..(tile + 1) * panel_len];
             let lo = tile * TILE;
@@ -632,7 +622,7 @@ impl Matrix {
                     }
                 }
             }
-            let spro = &sprod[..s_len];
+            let spro = &sprod[..];
             let prefix_panel = &panel[..k * TILE];
             // Several A-rows per pass: independent vector accumulator
             // chains keep the FP adders busy instead of serializing on
@@ -1263,6 +1253,14 @@ mod tests {
             (0, 4, 4, 4),
             (3, 0, 0, 2),
             (21, 7, 32, 20),
+            // Suffixes wider than any fixed buffer: hidden 33/48/64/256
+            // models hit these, on the 8-row path and the column path.
+            (9, 5, 33, 17),
+            (16, 12, 48, 20),
+            (6, 4, 48, 1),
+            (11, 3, 64, 1),
+            (8, 8, 64, 16),
+            (10, 6, 256, 33),
         ];
         for (m, kp, s, d) in shapes {
             let a = sparse_randn(m, kp, &mut rng);
