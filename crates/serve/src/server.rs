@@ -262,6 +262,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
 /// sender — reader and redeemers alike — is done, so joining it drains
 /// the connection. Returning closes both halves.
 fn serve_connection(stream: TcpStream, shared: &Arc<ServerShared>) {
+    // `write_frame` writes the length prefix and the payload separately;
+    // with Nagle on, each response stalls behind the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
