@@ -1,6 +1,6 @@
 # Mirror of the justfile for environments without `just`.
 
-.PHONY: build test lint fmt-check doc example-smoke bench-smoke serve-smoke chaos-smoke net-smoke bench-json perf-check bench-all determinism stress ci
+.PHONY: build test lint fmt-check doc example-smoke bench-smoke serve-smoke chaos-smoke net-smoke perfbench bench-json perf-check bench-all determinism stress ci
 
 build:
 	cargo build --release
@@ -33,6 +33,10 @@ net-smoke:
 	cargo run --release -p syncircuit-bench --bin load-gen -- --net --requests 100 --tenants 3 --workers 4 --max-resident 2 --inflight 64 --queue 1024
 	cargo run --release -p syncircuit-bench --bin load-gen -- --chaos 7 --net --requests 100 --tenants 3 --nodes 12 --max-resident 1
 
+perfbench:
+	cargo build --offline --release --manifest-path perfbench/Cargo.toml
+	cargo test --release --manifest-path perfbench/Cargo.toml
+
 bench-json:
 	BENCH_JSON=/tmp/syncircuit-bench-current.json cargo bench -p syncircuit-bench --bench micro
 	cargo run --release -p syncircuit-bench --bin load-gen -- --json /tmp/syncircuit-serve-load.json
@@ -63,4 +67,4 @@ stress:
 	diff /tmp/syncircuit-rel1.txt /tmp/syncircuit-rel2.txt
 	@echo "release determinism: two runs identical"
 
-ci: build test lint doc example-smoke serve-smoke chaos-smoke net-smoke stress
+ci: build test lint doc example-smoke serve-smoke chaos-smoke net-smoke perfbench stress

@@ -55,6 +55,13 @@ net-smoke:
     cargo run --release -p syncircuit-bench --bin load-gen -- --net --requests 100 --tenants 3 --workers 4 --max-resident 2 --inflight 64 --queue 1024
     cargo run --release -p syncircuit-bench --bin load-gen -- --chaos 7 --net --requests 100 --tenants 3 --nodes 12 --max-resident 1
 
+# benchmark build guard: perfbench is a workspace of its own, so the
+# root build never compiles it — build it against the current library
+# crates and run its tests, so a serve API change cannot break it unseen
+perfbench:
+    cargo build --offline --release --manifest-path perfbench/Cargo.toml
+    cargo test --release --manifest-path perfbench/Cargo.toml
+
 # perf gate: fail when any previously-recorded benchmark's `current`
 # exceeds 1.3x its recorded baseline in BENCH_phase3.json (CI runs
 # this warn-only after bench-smoke refreshes the trajectory)
@@ -100,4 +107,4 @@ stress:
     @echo "release determinism: two runs identical"
 
 # everything CI checks, in CI order
-ci: build test lint doc example-smoke serve-smoke chaos-smoke net-smoke stress
+ci: build test lint doc example-smoke serve-smoke chaos-smoke net-smoke perfbench stress
