@@ -496,18 +496,27 @@ fn run_net(args: &Args, addr: &str, dir: &std::path::Path) -> Result<(), String>
 
     // Coalesced-duplicate burst: fillers occupy every worker so the
     // duplicate leader queues; the identical submissions behind it
-    // must attach to its in-flight execution, not run again.
+    // must attach to its queued or running execution, not run again.
+    // The daemon coalesces only while the leader is in flight, so the
+    // duplicates are sent once every filler has left the queue: until
+    // then a waking worker may pick the leader (the lanes are drained
+    // round-robin) and finish it before the followers arrive. Fillers
+    // are 4x the trace's size so they stay busy for the whole burst.
     const DUPS: usize = 8;
     let dup_tenant = 1 % args.tenants;
     let dup_request = GenRequest::nodes(args.nodes).seeded(u64::MAX - 1);
     let mut burst_ids: Vec<u64> = Vec::new();
     for w in 0..args.workers.max(1) as u64 {
-        let filler = GenRequest::nodes(args.nodes + 4).seeded(u64::MAX - 10 - w);
+        let filler = GenRequest::nodes(args.nodes * 4).seeded(u64::MAX - 10 - w);
         burst_ids.push(
             client
                 .submit("tenant-0", &fleet[0], filler)
                 .map_err(|e| format!("filler submission failed: {e}"))?,
         );
+    }
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while srv.stats().queued > 0 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_micros(100));
     }
     let dup_ids: Vec<u64> = (0..DUPS)
         .map(|_| {

@@ -15,7 +15,17 @@
 //!    drains every queued job, joins the workers, and fails any job
 //!    that could never run (no workers configured) with
 //!    [`ServeError::ShuttingDown`]; no ticket is ever left hanging.
-//! 4. **Fault isolation** — a request whose deadline passed while
+//! 4. **Request coalescing** — generation is a pure function of
+//!    `(artifact, request)`, so identical explicitly seeded submissions
+//!    from one tenant share one execution. A duplicate that arrives
+//!    while its leader is queued or running attaches to it (a
+//!    *coalesce hit*) without touching the queue, so it can never be
+//!    `Overloaded`; every attached waiter gets the same outcome. The
+//!    worker detaches the key before resolving, so a later duplicate
+//!    runs fresh: coalescing is a concurrency optimisation, not a
+//!    response cache. Unseeded requests draw fresh entropy per run and
+//!    always pass straight through.
+//! 5. **Fault isolation** — a request whose deadline passed while
 //!    queued is shed with [`ServeError::DeadlineExceeded`] without
 //!    occupying a worker; a panic while serving is caught at the job
 //!    boundary and fails only that request
@@ -36,7 +46,8 @@ use crate::error::ServeError;
 use crate::fault::{FaultInjector, JobFault, NoFaults, INJECTED_PANIC_MARK};
 use crate::registry::{ModelRegistry, QuarantinePolicy, RegistryBudget};
 use crate::retry::RetryPolicy;
-use std::collections::VecDeque;
+use serde::Serialize;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -97,13 +108,18 @@ pub struct DaemonStats {
     /// Jobs failed by an isolated worker panic
     /// ([`ServeError::WorkerPanicked`]).
     pub panicked: u64,
-    /// Submissions that attached to an identical in-flight execution
-    /// instead of queueing their own (see [`crate::Coalescer`]).
+    /// Submissions that attached to an identical queued or running
+    /// job instead of queueing their own (see the module docs).
     pub coalesce_hits: u64,
-    /// Submissions the coalescer passed through to the queue as the
-    /// leader of a (possibly singleton) identical group.
+    /// Submissions admitted as a job of their own: the leader of a
+    /// (possibly singleton) identical group, or an unseeded request.
     pub coalesce_misses: u64,
 }
+
+/// Receives the outcome of one submission. Called exactly once, by the
+/// worker that resolved the job (or by shutdown), and never while a
+/// daemon lock is held; it must not block.
+pub(crate) type Waiter = Box<dyn FnOnce(Result<Generated, ServeError>) + Send>;
 
 /// One queued generation job.
 struct Job {
@@ -115,7 +131,11 @@ struct Job {
     /// The request's explicit seed (0 when unseeded): the key every
     /// deterministic fault-injection decision derives from.
     seed_hint: u64,
-    slot: Arc<TicketShared>,
+    /// Coalescing key of an explicitly seeded job; while the job is in
+    /// flight, [`Queues::inflight`] holds the waiters attached to it.
+    key: Option<String>,
+    /// The submitter's waiter (attached duplicates live in the map).
+    waiters: Vec<Waiter>,
 }
 
 /// The rendezvous cell a [`Ticket`] waits on.
@@ -129,10 +149,7 @@ impl TicketShared {
     /// plain `Option` write, so a panic mid-update cannot leave it
     /// inconsistent.
     fn lock_result(&self) -> MutexGuard<'_, Option<Result<Generated, ServeError>>> {
-        self.result.lock().unwrap_or_else(|poisoned| {
-            self.result.clear_poison();
-            poisoned.into_inner()
-        })
+        lock_recovering(&self.result)
     }
 }
 
@@ -210,6 +227,8 @@ struct Queues {
     cursor: usize,
     queued: usize,
     shutting_down: bool,
+    /// Waiters attached to each queued or running seeded job, by key.
+    inflight: HashMap<String, Vec<Waiter>>,
 }
 
 impl Queues {
@@ -249,6 +268,36 @@ impl Queues {
     fn revalidate(&mut self) {
         self.queued = self.lanes.iter().map(|(_, lane)| lane.len()).sum();
     }
+
+    /// Takes `job` out of coalescing: once its key leaves the map no
+    /// duplicate can attach, and the attached waiters join the job's.
+    fn detach(&mut self, job: &mut Job) {
+        if let Some(followers) = job.key.as_ref().and_then(|key| self.inflight.remove(key)) {
+            job.waiters.extend(followers);
+        }
+    }
+}
+
+/// The canonical coalescing key. `GenRequest`'s wire encoding is
+/// canonical (fixed field order, deadline as millis), so textual
+/// equality here is semantic equality of the whole submission.
+fn key_of(tenant: &str, artifact: &str, request: &GenRequest) -> String {
+    let body = serde_json::to_string(&request.serialize())
+        .expect("canonical request encodings always render");
+    format!("{tenant}\u{0}{artifact}\u{0}{body}")
+}
+
+/// Hands `outcome` to every waiter: clones to all but the first, which
+/// gets the original.
+fn resolve(waiters: Vec<Waiter>, outcome: Result<Generated, ServeError>) {
+    let mut waiters = waiters.into_iter();
+    let Some(first) = waiters.next() else {
+        return;
+    };
+    for waiter in waiters {
+        waiter(outcome.clone());
+    }
+    first(outcome);
 }
 
 struct Shared {
@@ -289,13 +338,14 @@ impl Shared {
 /// The serving daemon (see the module docs).
 pub struct Daemon {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    /// Taken (and joined) by the first [`Daemon::drain`].
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Daemon {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Daemon")
-            .field("workers", &self.workers.len())
+            .field("workers", &lock_recovering(&self.workers).len())
             .field("queue_capacity", &self.shared.queue_capacity)
             .finish_non_exhaustive()
     }
@@ -350,19 +400,25 @@ impl Daemon {
                     .expect("spawn serve worker")
             })
             .collect();
-        Daemon { shared, workers }
+        Daemon {
+            shared,
+            workers: Mutex::new(workers),
+        }
     }
 
     /// Submits a generation request on behalf of `tenant` against the
     /// model artifact at `model_path`. Returns immediately with a
     /// [`Ticket`] on admission. A request with a time budget
     /// ([`GenRequest::deadline`]) is stamped with its absolute deadline
-    /// here, at admission.
+    /// here, at admission. An explicitly seeded request identical to
+    /// one already queued or running attaches to it instead of
+    /// queueing (see the module docs).
     ///
     /// # Errors
     ///
     /// - [`ServeError::Overloaded`] when the queue is at its high-water
-    ///   mark (the submission is shed, not buffered).
+    ///   mark (the submission is shed, not buffered). A submission that
+    ///   attaches to an in-flight job never is.
     /// - [`ServeError::ShuttingDown`] when shutdown has begun.
     pub fn submit(
         &self,
@@ -370,24 +426,53 @@ impl Daemon {
         model_path: &str,
         request: GenRequest,
     ) -> Result<Ticket, ServeError> {
-        use std::sync::atomic::Ordering;
         let slot = Arc::new(TicketShared {
             result: Mutex::new(None),
             cv: Condvar::new(),
         });
+        let filled = slot.clone();
+        self.submit_with(
+            tenant,
+            model_path,
+            request,
+            Box::new(move |outcome| fill(&filled, outcome)),
+        )?;
+        Ok(Ticket { slot })
+    }
+
+    /// [`Daemon::submit`] with a caller-supplied completion: on
+    /// admission, `waiter` is called with the outcome exactly once.
+    pub(crate) fn submit_with(
+        &self,
+        tenant: &str,
+        model_path: &str,
+        request: GenRequest,
+        waiter: Waiter,
+    ) -> Result<(), ServeError> {
+        use std::sync::atomic::Ordering;
         let deadline = request.time_budget().map(|budget| Instant::now() + budget);
         let seed_hint = request.seed().unwrap_or(0);
+        // Rendered before taking the lock: the queue lock stays short.
+        let key = request.seed().map(|_| key_of(tenant, model_path, &request));
         {
             let mut queues = self.shared.lock_queues();
             if queues.shutting_down {
                 self.shared.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(ServeError::ShuttingDown);
             }
+            if let Some(attached) = key.as_ref().and_then(|k| queues.inflight.get_mut(k)) {
+                attached.push(waiter);
+                self.shared.coalesce_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(());
+            }
             if queues.queued >= self.shared.queue_capacity {
                 self.shared.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(ServeError::Overloaded {
                     capacity: self.shared.queue_capacity,
                 });
+            }
+            if let Some(k) = &key {
+                queues.inflight.insert(k.clone(), Vec::new());
             }
             queues.push(
                 tenant,
@@ -396,12 +481,14 @@ impl Daemon {
                     request,
                     deadline,
                     seed_hint,
-                    slot: slot.clone(),
+                    key,
+                    waiters: vec![waiter],
                 },
             );
+            self.shared.coalesce_misses.fetch_add(1, Ordering::Relaxed);
         }
         self.shared.work_cv.notify_one();
-        Ok(Ticket { slot })
+        Ok(())
     }
 
     /// The daemon's model registry (for telemetry; e.g. eviction and
@@ -424,28 +511,21 @@ impl Daemon {
         }
     }
 
-    /// Records a coalescer hit (a submission attached to an identical
-    /// in-flight execution).
-    pub(crate) fn note_coalesce_hit(&self) {
-        self.shared
-            .coalesce_hits
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records a coalescer miss (a submission that led its group).
-    pub(crate) fn note_coalesce_miss(&self) {
-        self.shared
-            .coalesce_misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
     /// Stops admitting, drains every queued job, joins the workers, and
     /// fails jobs that could never run (admission-only mode) with
     /// [`ServeError::ShuttingDown`]. Returns the final counters.
-    pub fn shutdown(mut self) -> DaemonStats {
+    pub fn shutdown(self) -> DaemonStats {
+        self.drain()
+    }
+
+    /// [`Daemon::shutdown`] through a shared reference, for owners that
+    /// cannot move the daemon out. Idempotent.
+    pub(crate) fn drain(&self) -> DaemonStats {
         self.begin_shutdown();
-        for handle in self.workers.drain(..) {
-            handle.join().expect("serve worker panicked");
+        // Workers catch every panic (see `worker_loop`), so a join
+        // cannot fail.
+        for handle in std::mem::take(&mut *lock_recovering(&self.workers)) {
+            let _ = handle.join();
         }
         self.fail_stranded();
         self.stats()
@@ -458,12 +538,20 @@ impl Daemon {
         self.shared.work_cv.notify_all();
     }
 
-    /// Fails every still-queued job (only possible with zero workers —
-    /// workers drain the queue before exiting).
+    /// Fails every still-queued job, and everything attached to it,
+    /// with [`ServeError::ShuttingDown`]. Running jobs are left to their
+    /// workers.
     pub(crate) fn fail_stranded(&self) {
-        let mut queues = self.shared.lock_queues();
-        while let Some(job) = queues.pop_round_robin() {
-            fill(&job.slot, Err(ServeError::ShuttingDown));
+        let mut stranded = Vec::new();
+        {
+            let mut queues = self.shared.lock_queues();
+            while let Some(mut job) = queues.pop_round_robin() {
+                queues.detach(&mut job);
+                stranded.push(job);
+            }
+        }
+        for job in stranded {
+            resolve(job.waiters, Err(ServeError::ShuttingDown));
         }
     }
 }
@@ -473,12 +561,17 @@ impl Drop for Daemon {
     /// signals shutdown, joins workers, and resolves stranded tickets
     /// so no waiter blocks forever.
     fn drop(&mut self) {
-        self.begin_shutdown();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        self.fail_stranded();
+        self.drain();
     }
+}
+
+/// Locks `mutex`, recovering a poisoned lock (for state a panic cannot
+/// leave inconsistent).
+fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poisoned| {
+        mutex.clear_poison();
+        poisoned.into_inner()
+    })
 }
 
 fn fill(slot: &TicketShared, outcome: Result<Generated, ServeError>) {
@@ -535,7 +628,7 @@ fn serve_job(shared: &Shared, job: &Job) -> Result<Generated, ServeError> {
 fn serve_loop(shared: &Shared) {
     use std::sync::atomic::Ordering;
     loop {
-        let job = {
+        let mut job = {
             let mut queues = shared.lock_queues();
             loop {
                 if let Some(job) = queues.pop_round_robin() {
@@ -553,8 +646,9 @@ fn serve_loop(shared: &Shared) {
         // Serve outside the queue lock: model resolution and generation
         // are the expensive part and must overlap across workers.
         let outcome = serve_job(shared, &job);
-        fill(&job.slot, outcome);
+        shared.lock_queues().detach(&mut job);
         shared.served.fetch_add(1, Ordering::Relaxed);
+        resolve(job.waiters, outcome);
     }
 }
 
@@ -580,10 +674,8 @@ mod tests {
             request: GenRequest::nodes(8),
             deadline: None,
             seed_hint: 0,
-            slot: Arc::new(TicketShared {
-                result: Mutex::new(None),
-                cv: Condvar::new(),
-            }),
+            key: None,
+            waiters: Vec::new(),
         }
     }
 
@@ -715,6 +807,111 @@ mod tests {
         };
         daemon.shutdown();
         assert_eq!(ticket.wait().unwrap_err(), ServeError::ShuttingDown);
+    }
+
+    fn admission_only(queue_capacity: usize) -> Daemon {
+        Daemon::start(DaemonConfig {
+            workers: 0,
+            queue_capacity,
+            ..DaemonConfig::default()
+        })
+    }
+
+    fn inflight_keys(daemon: &Daemon) -> usize {
+        daemon.shared.lock_queues().inflight.len()
+    }
+
+    /// K identical seeded submissions queue exactly one job; the other
+    /// K-1 are hits, and all K resolve with the leader's outcome.
+    /// Deterministic: zero workers keep the leader queued for the whole
+    /// burst.
+    #[test]
+    fn identical_submissions_share_one_execution() {
+        let daemon = admission_only(4);
+        let request = || GenRequest::nodes(16).seeded(9);
+        let tickets: Vec<_> = (0..5)
+            .map(|_| daemon.submit("t", "/m.json", request()).unwrap())
+            .collect();
+        let stats = daemon.stats();
+        assert_eq!(stats.queued, 1, "one job for the whole group");
+        assert_eq!(stats.coalesce_hits, 4);
+        assert_eq!(stats.coalesce_misses, 1);
+        let stats = daemon.shutdown();
+        assert_eq!(stats.queued, 0);
+        for t in tickets {
+            assert_eq!(t.wait().unwrap_err(), ServeError::ShuttingDown);
+        }
+    }
+
+    /// Different seeds, tenants, artifacts, node counts, or deadlines
+    /// never coalesce.
+    #[test]
+    fn distinct_submissions_never_share() {
+        let daemon = admission_only(16);
+        let base = || GenRequest::nodes(16).seeded(9);
+        let _t: Vec<_> = vec![
+            daemon.submit("t", "/m.json", base()).unwrap(),
+            daemon.submit("t", "/m.json", base().seeded(10)).unwrap(),
+            daemon.submit("u", "/m.json", base()).unwrap(),
+            daemon.submit("t", "/n.json", base()).unwrap(),
+            daemon.submit("t", "/m.json", GenRequest::nodes(17).seeded(9)).unwrap(),
+            daemon.submit("t", "/m.json", base().deadline(Duration::from_secs(5))).unwrap(),
+        ];
+        let stats = daemon.stats();
+        assert_eq!(stats.coalesce_hits, 0);
+        assert_eq!(stats.coalesce_misses, 6);
+        assert_eq!(stats.queued, 6);
+    }
+
+    /// Unseeded requests draw fresh entropy per run, so they must not
+    /// coalesce even when textually identical.
+    #[test]
+    fn unseeded_requests_pass_straight_through() {
+        let daemon = admission_only(4);
+        let _a = daemon.submit("t", "/m.json", GenRequest::nodes(16)).unwrap();
+        let _b = daemon.submit("t", "/m.json", GenRequest::nodes(16)).unwrap();
+        let stats = daemon.stats();
+        assert_eq!(stats.coalesce_hits, 0);
+        assert_eq!(stats.coalesce_misses, 2);
+        assert_eq!(stats.queued, 2);
+        assert_eq!(inflight_keys(&daemon), 0);
+    }
+
+    /// An overloaded submission leaves no in-flight key behind, and a
+    /// duplicate of an admitted job attaches even with the queue full.
+    #[test]
+    fn admission_errors_do_not_pin_entries() {
+        let daemon = admission_only(1);
+        let _first = daemon.submit("t", "/m.json", GenRequest::nodes(16).seeded(1)).unwrap();
+        match daemon.submit("t", "/m.json", GenRequest::nodes(16).seeded(2)) {
+            Err(ServeError::Overloaded { capacity: 1 }) => {}
+            other => panic!("expected Overloaded, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(inflight_keys(&daemon), 1, "only the admitted key is in flight");
+        assert_eq!(daemon.stats().queued, 1);
+        let _dup = daemon.submit("t", "/m.json", GenRequest::nodes(16).seeded(1)).unwrap();
+        assert_eq!(daemon.stats().coalesce_hits, 1);
+        assert_eq!(daemon.stats().queued, 1, "a hit never takes queue capacity");
+    }
+
+    /// The worker detaches the key before resolving, so once a ticket
+    /// has its outcome an identical submission runs fresh: coalescing
+    /// is not a response cache.
+    #[test]
+    fn resolved_keys_run_fresh() {
+        let daemon = Daemon::start(DaemonConfig {
+            workers: 1,
+            queue_capacity: 4,
+            ..DaemonConfig::default()
+        });
+        let request = || GenRequest::nodes(8).seeded(5);
+        for _ in 0..2 {
+            let ticket = daemon.submit("t", "/no/such/model.json", request()).unwrap();
+            assert!(matches!(ticket.wait().unwrap_err(), ServeError::Model(_)));
+            assert_eq!(inflight_keys(&daemon), 0, "resolved keys leave the map");
+        }
+        let stats = daemon.shutdown();
+        assert_eq!((stats.served, stats.coalesce_hits, stats.coalesce_misses), (2, 0, 2));
     }
 
     /// Panics the job whose request seed is 7; leaves others alone.

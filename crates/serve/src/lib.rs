@@ -3,7 +3,7 @@
 //! The batch pipeline (`syncircuit-core`) answers "generate N designs
 //! from this model"; this crate answers "keep answering generation
 //! requests for *many* models, from *many* tenants, on a machine with
-//! finite memory, without falling over". Three pieces compose:
+//! finite memory, without falling over". Four pieces compose:
 //!
 //! - [`ModelRegistry`] — artifacts resident keyed by path, shared via
 //!   `Arc`, LRU-evicted under a configurable [`RegistryBudget`]
@@ -14,8 +14,15 @@
 //!   plain threads). Admission control sheds load past a bounded
 //!   queue's high-water mark with [`ServeError::Overloaded`]; queued
 //!   work sits in per-tenant lanes drained round-robin so no tenant
-//!   starves another; shutdown drains the queue and resolves every
+//!   starves another; an explicitly seeded submission identical to one
+//!   already queued or running attaches to it instead of queueing
+//!   (request coalescing); shutdown drains the queue and resolves every
 //!   outstanding [`Ticket`].
+//! - [`NetServer`] / [`NetClient`] — the daemon over TCP, speaking the
+//!   length-prefixed JSON [`wire`] protocol with pipelined requests. The
+//!   server runs two threads per connection (reader and writer); the
+//!   worker that resolves a job sends its response frame straight to
+//!   the connection's writer.
 //! - [`ServeError`] — the typed surface callers program against:
 //!   `Overloaded` means back off and retry, `ShuttingDown` means stop,
 //!   `Model` wraps the pipeline's own error (persistence failures name
@@ -80,7 +87,6 @@
 #![warn(missing_docs)]
 
 mod client;
-mod coalesce;
 mod daemon;
 mod error;
 mod fault;
@@ -90,7 +96,6 @@ mod server;
 pub mod wire;
 
 pub use client::{ClientError, NetClient};
-pub use coalesce::{CoalesceTicket, Coalescer};
 pub use daemon::{Daemon, DaemonConfig, DaemonStats, Ticket};
 pub use error::ServeError;
 pub use server::{NetServer, NetServerConfig};

@@ -1,12 +1,16 @@
 //! The TCP front-end: frames off the wire, into the daemon, back out.
 //!
 //! [`NetServer`] binds a `std::net` listener and speaks the
-//! [`crate::wire`] protocol. Per connection it runs a **reader** thread
-//! (decode frames, admit through the [`Coalescer`], forward work) and a
-//! **writer** thread (redeem tickets, encode responses), joined by an
-//! mpsc channel — so a connection can pipeline many requests and slow
-//! generation never blocks frame decoding. The acceptor thread owns the
-//! listener.
+//! [`crate::wire`] protocol. The acceptor thread owns the listener, and
+//! each connection runs exactly two threads joined by an mpsc channel:
+//!
+//! - a **reader** decodes frames and admits them to the daemon, each
+//!   with a completion that sends the finished frame into the channel;
+//! - a **writer** encodes and writes frames as they arrive.
+//!
+//! The daemon worker that resolves a job calls those completions
+//! itself, so no thread waits per request. A connection can pipeline
+//! many requests, and slow generation never blocks frame decoding.
 //!
 //! Invariants the tests hold this module to:
 //!
@@ -17,9 +21,9 @@
 //!   carries a millisecond budget; the countdown starts when the
 //!   reader admits the job, not when the client built the request.
 //! - **Disconnects leak nothing.** A client hanging up mid-flight
-//!   drops the connection's tickets; the daemon still resolves every
-//!   admitted slot, and the coalescer detaches the waiters, so no
-//!   worker or in-flight entry strands.
+//!   leaves its completions with the daemon, which still resolves every
+//!   admitted job (the writer discards what it can no longer send), so
+//!   no worker or in-flight entry strands.
 //! - **Protocol garbage cannot take the server down.** A malformed
 //!   frame gets a typed `protocol` response (when the id is known) and
 //!   a connection close — never a panic, and never any effect on other
@@ -31,9 +35,9 @@
 //! Chaos runs exercise one more seam: the injector's
 //! [`FaultInjector::connection`] verdict is consulted per request —
 //! `Drop` hangs up without answering (client sees a clean close),
-//! `Slow` delays the response write.
+//! `Slow` makes the writer sleep before writing that response, the way
+//! a congested link would (a completion never blocks its worker).
 
-use crate::coalesce::{CoalesceTicket, Coalescer};
 use crate::daemon::{Daemon, DaemonConfig, DaemonStats};
 use crate::fault::{ConnFault, FaultInjector, NoFaults};
 use crate::wire::{
@@ -46,6 +50,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Configuration of a [`NetServer`].
 #[derive(Clone, Debug)]
@@ -70,14 +75,17 @@ impl Default for NetServerConfig {
 /// for, and it keeps an admission rejection (or a fast job) from
 /// queueing behind a slow one.
 enum WriterItem {
-    /// A finished outcome: respond now.
-    Ready(ResponseFrame),
+    /// A finished outcome: respond, after the injected `slow` delay.
+    Ready {
+        frame: ResponseFrame,
+        slow: Option<Duration>,
+    },
     /// A protocol failure: respond (typed), then close the connection.
     Fatal(ResponseFrame),
 }
 
 struct ServerShared {
-    coalescer: Coalescer,
+    daemon: Daemon,
     injector: Arc<dyn FaultInjector>,
     stopping: AtomicBool,
     max_frame_bytes: usize,
@@ -135,7 +143,7 @@ impl NetServer {
         let local_addr = listener.local_addr()?;
         let daemon = Daemon::start_with_faults(config.daemon, injector.clone());
         let shared = Arc::new(ServerShared {
-            coalescer: Coalescer::new(daemon),
+            daemon,
             injector,
             stopping: AtomicBool::new(false),
             max_frame_bytes: config.max_frame_bytes,
@@ -162,59 +170,36 @@ impl NetServer {
 
     /// Current serving counters of the daemon behind the socket.
     pub fn stats(&self) -> DaemonStats {
-        self.shared.coalescer.stats()
+        self.shared.daemon.stats()
     }
 
     /// Stops accepting, closes live connections, joins the acceptor,
     /// and drains the daemon. Returns the final counters.
     pub fn shutdown(mut self) -> DaemonStats {
         self.stop_network();
-        // The server owns its coalescer solely through `shared`; once
-        // the acceptor and connections are joined, this is the only
-        // strong reference left.
-        let shared = std::mem::replace(
-            &mut self.shared,
-            Arc::new(ServerShared {
-                coalescer: Coalescer::new(Daemon::start(DaemonConfig {
-                    workers: 0,
-                    queue_capacity: 1,
-                    ..DaemonConfig::default()
-                })),
-                injector: Arc::new(NoFaults),
-                stopping: AtomicBool::new(true),
-                max_frame_bytes: MAX_FRAME_BYTES,
-                conns: Mutex::new(Vec::new()),
-            }),
-        );
-        match Arc::try_unwrap(shared) {
-            Ok(inner) => inner.coalescer.shutdown(),
-            Err(shared) => {
-                // A connection thread is still winding down; its arc
-                // clone dies with it. Snapshot stats without draining.
-                shared.coalescer.stats()
-            }
-        }
+        self.shared.daemon.drain()
     }
 
     /// Signals stop, unblocks `accept`, closes live connections, joins
-    /// the acceptor (and through it every connection thread).
+    /// the acceptor (and through it every connection thread). Runs once.
     fn stop_network(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
         self.shared.stopping.store(true, Ordering::SeqCst);
-        // Resolve every admitted ticket before joining anything: the
-        // per-request redeemer threads block on their tickets, and the
-        // writer threads (joined via the connection threads, joined via
-        // the acceptor) wait for the redeemers.
-        self.shared.coalescer.daemon().begin_shutdown();
-        self.shared.coalescer.daemon().fail_stranded();
+        // Fail queued jobs before joining anything: each writer (joined
+        // via its connection thread, joined via the acceptor) runs until
+        // every completion it is owed has been sent. Running jobs still
+        // finish on the workers, which keep serving until drained.
+        self.shared.daemon.begin_shutdown();
+        self.shared.daemon.fail_stranded();
         // `accept()` has no native wakeup: a throwaway connection to
         // ourselves gets it to return, at which point it sees the flag.
         let _ = TcpStream::connect(self.local_addr);
         for conn in self.shared.lock_conns().drain(..) {
             let _ = conn.shutdown(Shutdown::Both);
         }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        let _ = acceptor.join();
     }
 }
 
@@ -256,11 +241,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     }
 }
 
-/// Runs one connection: this thread reads and admits, a redeemer
-/// thread per admitted request waits out its ticket, and one writer
+/// Runs one connection: this thread reads and admits, and one writer
 /// thread serializes the response frames. The writer exits when every
-/// sender — reader and redeemers alike — is done, so joining it drains
-/// the connection. Returning closes both halves.
+/// sender — the reader's and each admitted job's completion — is gone,
+/// so joining it drains the connection. Returning closes both halves.
 fn serve_connection(stream: TcpStream, shared: &Arc<ServerShared>) {
     // `write_frame` writes the length prefix and the payload separately;
     // with Nagle on, each response stalls behind the client's delayed ACK.
@@ -279,27 +263,8 @@ fn serve_connection(stream: TcpStream, shared: &Arc<ServerShared>) {
         return;
     };
     read_loop(stream, &tx, shared);
-    drop(tx); // writer drains redeemers still in flight, then exits
+    drop(tx); // the writer drains completions still in flight, then exits
     let _ = writer.join();
-}
-
-/// Redeems one admitted ticket and forwards the finished frame. A
-/// failed send means the connection died first; dropping the outcome
-/// is correct (the daemon already resolved the job).
-fn redeem_and_send(
-    id: u64,
-    ticket: CoalesceTicket,
-    slow: Option<std::time::Duration>,
-    tx: &mpsc::Sender<WriterItem>,
-) {
-    let body = match ticket.wait() {
-        Ok(design) => ResponseBody::Ok(Box::new(design)),
-        Err(e) => ResponseBody::Err(e),
-    };
-    if let Some(delay) = slow {
-        std::thread::sleep(delay);
-    }
-    let _ = tx.send(WriterItem::Ready(ResponseFrame { id, body }));
 }
 
 /// Decodes frames and admits them until EOF, protocol failure, or an
@@ -334,48 +299,51 @@ fn read_loop(mut stream: TcpStream, tx: &mpsc::Sender<WriterItem>, shared: &Arc<
         };
         // The chaos seam: drop hangs up before admission (so the
         // client sees a clean close, not a stuck request); slow tags
-        // the response write.
+        // the response for the writer to delay.
         let slow = match shared.injector.connection(frame.request.seed().unwrap_or(0)) {
             Some(ConnFault::Drop) => return,
             Some(ConnFault::Slow(delay)) => Some(delay),
             None => None,
         };
         // Network admission: the deadline budget the frame carried
-        // starts counting here, inside Coalescer/Daemon::submit.
-        match shared
-            .coalescer
-            .submit(&frame.tenant, &frame.artifact, frame.request)
-        {
-            Ok(ticket) => {
-                let id = frame.id;
-                let tx = tx.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("syncircuit-net-redeem".to_string())
-                    .spawn(move || redeem_and_send(id, ticket, slow, &tx));
-                if spawned.is_err() {
-                    // Thread exhaustion. The consumed ticket drops (the
-                    // daemon resolves the job regardless); close the
-                    // connection rather than leave the id unanswered.
-                    return;
-                }
-            }
-            Err(e) => {
-                let rejected = WriterItem::Ready(ResponseFrame {
-                    id: frame.id,
-                    body: ResponseBody::Err(e),
+        // starts counting here, inside the daemon's admission. A failed
+        // send in the completion means the connection died first;
+        // dropping that outcome is correct.
+        let id = frame.id;
+        let done = tx.clone();
+        let admitted = shared.daemon.submit_with(
+            &frame.tenant,
+            &frame.artifact,
+            frame.request,
+            Box::new(move |outcome| {
+                let body = match outcome {
+                    Ok(design) => ResponseBody::Ok(Box::new(design)),
+                    Err(e) => ResponseBody::Err(e),
+                };
+                let _ = done.send(WriterItem::Ready {
+                    frame: ResponseFrame { id, body },
+                    slow,
                 });
-                if tx.send(rejected).is_err() {
-                    return; // writer gone (socket dead)
-                }
+            }),
+        );
+        if let Err(e) = admitted {
+            let rejected = WriterItem::Ready {
+                frame: ResponseFrame {
+                    id,
+                    body: ResponseBody::Err(e),
+                },
+                slow: None,
+            };
+            if tx.send(rejected).is_err() {
+                return; // writer gone (socket dead)
             }
         }
     }
 }
 
 /// Writes response frames in arrival (= completion) order. On a write
-/// failure the loop keeps draining so redeemer sends never error, but
-/// writes nothing further — the daemon resolves every admitted slot
-/// regardless, so nothing strands.
+/// failure the loop keeps draining, writing nothing further, until the
+/// daemon has resolved every job admitted on this connection.
 fn write_loop(
     mut stream: TcpStream,
     rx: &mpsc::Receiver<WriterItem>,
@@ -387,7 +355,12 @@ fn write_loop(
             continue;
         }
         let (frame, fatal) = match item {
-            WriterItem::Ready(frame) => (frame, false),
+            WriterItem::Ready { frame, slow } => {
+                if let Some(delay) = slow {
+                    std::thread::sleep(delay);
+                }
+                (frame, false)
+            }
             WriterItem::Fatal(frame) => (frame, true),
         };
         let payload = encode_response(&frame);

@@ -1,8 +1,8 @@
 //! TCP serving ≡ in-process daemon ≡ direct generation.
 //!
-//! The network front-end's headline guarantee: putting a socket (and a
-//! coalescer) between the caller and the daemon changes *nothing* in
-//! the bytes. Every test compares wire-served designs against a
+//! The network front-end's headline guarantee: putting a socket (and
+//! request coalescing) between the caller and the daemon changes
+//! *nothing* in the bytes. Every test compares wire-served designs against a
 //! reference computed by `SynCircuit::load(path)?.generate_one(req)` —
 //! field by field, floats by bit pattern — across worker counts,
 //! pipelined submission, coalesced duplicate bursts, and deadlines
@@ -16,8 +16,8 @@ use std::time::Duration;
 use syncircuit_core::{GenRequest, Generated, PipelineConfig, RewardKind, SynCircuit};
 use syncircuit_graph::testing::random_circuit_with_size;
 use syncircuit_serve::{
-    ClientError, Coalescer, Daemon, DaemonConfig, NetClient, NetServer, NetServerConfig,
-    RegistryBudget, ServeError,
+    ClientError, Daemon, DaemonConfig, NetClient, NetServer, NetServerConfig, RegistryBudget,
+    ServeError,
 };
 
 const TENANTS: usize = 3;
@@ -329,8 +329,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Coalesced execution ≡ uncoalesced execution: the same duplicate-
-    /// heavy trace through a `Coalescer` and through the bare daemon
-    /// yields byte-identical designs for every submission.
+    /// heavy trace submitted all at once (duplicates attach to queued or
+    /// running leaders) and one at a time (each waited before the next,
+    /// so nothing can attach) yields byte-identical designs for every
+    /// submission.
     #[test]
     fn coalesced_equals_uncoalesced(base in any::<u64>()) {
         let paths = fleet();
@@ -339,37 +341,39 @@ proptest! {
         let submissions: Vec<&(usize, GenRequest)> =
             (0..9).map(|k| &distinct[k % distinct.len()]).collect();
 
+        let start = || Daemon::start(DaemonConfig {
+            workers: 2,
+            queue_capacity: 64,
+            ..DaemonConfig::default()
+        });
         let coalesced: Vec<Generated> = {
-            let c = Coalescer::new(Daemon::start(DaemonConfig {
-                workers: 2,
-                queue_capacity: 64,
-                ..DaemonConfig::default()
-            }));
-            let tickets: Vec<_> = submissions
-                .iter()
-                .map(|(t, req)| {
-                    c.submit(&format!("tenant-{t}"), &paths[*t], req.clone())
-                        .expect("coalesced submit")
-                })
-                .collect();
-            tickets.into_iter().map(|t| t.wait().expect("serves")).collect()
-        };
-        let uncoalesced: Vec<Generated> = {
-            let daemon = Daemon::start(DaemonConfig {
-                workers: 2,
-                queue_capacity: 64,
-                ..DaemonConfig::default()
-            });
+            let daemon = start();
             let tickets: Vec<_> = submissions
                 .iter()
                 .map(|(t, req)| {
                     daemon
                         .submit(&format!("tenant-{t}"), &paths[*t], req.clone())
-                        .expect("bare submit")
+                        .expect("concurrent submit")
                 })
                 .collect();
             let out = tickets.into_iter().map(|t| t.wait().expect("serves")).collect();
             daemon.shutdown();
+            out
+        };
+        let uncoalesced: Vec<Generated> = {
+            let daemon = start();
+            let out = submissions
+                .iter()
+                .map(|(t, req)| {
+                    daemon
+                        .submit(&format!("tenant-{t}"), &paths[*t], req.clone())
+                        .expect("sequential submit")
+                        .wait()
+                        .expect("serves")
+                })
+                .collect();
+            let stats = daemon.shutdown();
+            prop_assert_eq!(stats.coalesce_hits, 0, "one at a time, nothing attaches");
             out
         };
         for (a, b) in coalesced.iter().zip(&uncoalesced) {
