@@ -515,7 +515,11 @@ fn run_net(args: &Args, addr: &str, dir: &std::path::Path) -> Result<(), String>
         );
     }
     let give_up = Instant::now() + Duration::from_secs(10);
-    while srv.stats().queued > 0 && Instant::now() < give_up {
+    while srv.stats().queued > 0 {
+        if Instant::now() >= give_up {
+            return Err("duplicate burst: fillers never started (jobs still queued after 10 s)"
+                .to_string());
+        }
         std::thread::sleep(Duration::from_micros(100));
     }
     let dup_ids: Vec<u64> = (0..DUPS)

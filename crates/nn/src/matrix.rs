@@ -622,7 +622,6 @@ impl Matrix {
                     }
                 }
             }
-            let spro = &sprod[..];
             let prefix_panel = &panel[..k * TILE];
             // Several A-rows per pass: independent vector accumulator
             // chains keep the FP adders busy instead of serializing on
@@ -636,7 +635,7 @@ impl Matrix {
                     let rows = &self.data[r * k..(r + 8) * k];
                     let mut acc = [[0.0f32; TILE]; 8];
                     // SAFETY: tier is Avx512 only after runtime detection.
-                    unsafe { packed_panel8_avx512(rows, k, prefix_panel, spro, &mut acc) };
+                    unsafe { packed_panel8_avx512(rows, k, prefix_panel, &sprod, &mut acc) };
                     for (i, a) in acc.iter_mut().enumerate() {
                         let at = (r + i) * d + lo;
                         finish_tile_row(a, &btile, add_bias, relu, &mut out.data[at..at + w]);
@@ -647,7 +646,7 @@ impl Matrix {
             while r + 4 <= self.rows {
                 let rows = &self.data[r * k..(r + 4) * k];
                 let mut acc = [[0.0f32; TILE]; 4];
-                packed_panel4(rows, k, prefix_panel, spro, &mut acc, tier);
+                packed_panel4(rows, k, prefix_panel, &sprod, &mut acc, tier);
                 for (i, a) in acc.iter_mut().enumerate() {
                     let at = (r + i) * d + lo;
                     finish_tile_row(a, &btile, add_bias, relu, &mut out.data[at..at + w]);
@@ -657,7 +656,7 @@ impl Matrix {
             while r < self.rows {
                 let arow = &self.data[r * k..(r + 1) * k];
                 let mut acc = [0.0f32; TILE];
-                packed_panel(arow, prefix_panel, spro, &mut acc, tier);
+                packed_panel(arow, prefix_panel, &sprod, &mut acc, tier);
                 let at = r * d + lo;
                 finish_tile_row(&mut acc, &btile, add_bias, relu, &mut out.data[at..at + w]);
                 r += 1;

@@ -836,11 +836,24 @@ mod tests {
         assert_eq!(stats.queued, 1, "one job for the whole group");
         assert_eq!(stats.coalesce_hits, 4);
         assert_eq!(stats.coalesce_misses, 1);
-        let stats = daemon.shutdown();
-        assert_eq!(stats.queued, 0);
-        for t in tickets {
-            assert_eq!(t.wait().unwrap_err(), ServeError::ShuttingDown);
-        }
+        // Shutdown fails the leader's job; every blocked waiter is woken
+        // with the same typed outcome.
+        let daemon = &daemon;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = tickets
+                .into_iter()
+                .map(|t| scope.spawn(move || t.wait()))
+                .collect();
+            // Give the waiters a beat to block, then resolve them.
+            std::thread::sleep(Duration::from_millis(30));
+            assert_eq!(daemon.stats().queued, 1);
+            daemon.begin_shutdown();
+            daemon.fail_stranded();
+            for h in handles {
+                assert_eq!(h.join().unwrap().unwrap_err(), ServeError::ShuttingDown);
+            }
+        });
+        assert_eq!(daemon.stats().queued, 0);
     }
 
     /// Different seeds, tenants, artifacts, node counts, or deadlines
@@ -892,6 +905,24 @@ mod tests {
         let _dup = daemon.submit("t", "/m.json", GenRequest::nodes(16).seeded(1)).unwrap();
         assert_eq!(daemon.stats().coalesce_hits, 1);
         assert_eq!(daemon.stats().queued, 1, "a hit never takes queue capacity");
+    }
+
+    /// A bounded wait on an unresolved seeded job hands the ticket back
+    /// and leaves the key in flight; shutdown fails the job and clears
+    /// the key.
+    #[test]
+    fn wait_timeout_keeps_the_group_alive() {
+        let daemon = admission_only(4);
+        let ticket = daemon.submit("t", "/m.json", GenRequest::nodes(16).seeded(4)).unwrap();
+        let ticket = match ticket.wait_timeout(Duration::from_millis(15)) {
+            Err(t) => t,
+            Ok(outcome) => panic!("expected timeout, got {:?}", outcome.map(|_| ())),
+        };
+        assert_eq!(inflight_keys(&daemon), 1, "timed-out waiter stays attached");
+        daemon.begin_shutdown();
+        daemon.fail_stranded();
+        assert_eq!(ticket.wait().unwrap_err(), ServeError::ShuttingDown);
+        assert_eq!(inflight_keys(&daemon), 0, "shutdown detaches stranded keys");
     }
 
     /// The worker detaches the key before resolving, so once a ticket
