@@ -14,6 +14,7 @@ use syncircuit_core::{
 use syncircuit_datasets::design;
 use syncircuit_graph::cone::{all_driving_cones, cone_circuit};
 use syncircuit_graph::stats::StructuralStats;
+use syncircuit_graph::testing::random_circuit_with_size;
 use syncircuit_synth::{optimize, timing_analysis};
 
 fn bench_synthesis(c: &mut Criterion) {
@@ -200,6 +201,32 @@ fn bench_batch_shared_cache(c: &mut Criterion) {
     });
 }
 
+/// One request end to end at the `gen-large` size: the serving fleet's
+/// tenant model (tiny configuration, incremental cone reward, bounded
+/// cone cache) generating a fresh 144-node design per iteration through
+/// all three phases. Phase 3 is most of it, so this tracks the reward
+/// path end to end.
+fn bench_generate_full(c: &mut Criterion) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1000);
+    let corpus: Vec<_> = (0..2)
+        .map(|_| random_circuit_with_size(&mut rng, 20))
+        .collect();
+    let cfg = PipelineConfig::builder()
+        .seed(1000)
+        .reward(RewardKind::IncrementalCone)
+        .cone_cache_capacity(64)
+        .build()
+        .expect("valid configuration");
+    let model = SynCircuit::fit(&corpus, cfg).expect("non-empty corpus");
+    c.bench_function("generate_one_144_nodes_full", |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            model.generate_one(black_box(&GenRequest::nodes(144).seeded(seed)))
+        })
+    });
+}
+
 /// Deterministic parallel training: the same corpus and seed through
 /// the epoch-synchronous diffusion trainer at 1 vs 4 workers (outputs
 /// are bit-identical; the delta is pure wall-clock).
@@ -222,6 +249,6 @@ fn bench_fit_parallel(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_synthesis, bench_sta, bench_stats, bench_diffusion_sample, bench_refine, bench_mcts_cone, bench_optimize_registers, bench_shared_cone_cache, bench_batch_shared_cache, bench_fit_parallel
+    targets = bench_synthesis, bench_sta, bench_stats, bench_diffusion_sample, bench_refine, bench_mcts_cone, bench_optimize_registers, bench_shared_cone_cache, bench_batch_shared_cache, bench_generate_full, bench_fit_parallel
 }
 criterion_main!(benches);

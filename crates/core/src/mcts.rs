@@ -11,8 +11,9 @@
 //!   out-degree; each action is validity-checked against `C`;
 //! - **reward** — post-synthesis circuit size (PCS), from the exact
 //!   synthesis simulator, the dirty-cone incremental evaluator
-//!   ([`IncrementalConeReward`]), or a trained discriminator
-//!   ([`crate::discriminator`]);
+//!   ([`IncrementalConeReward`], which re-scores only the cones a swap
+//!   touched, from a per-apex memo diffed against the previous state),
+//!   or a trained discriminator ([`crate::discriminator`]);
 //! - **selection** — UCB1 with `c = √2`;
 //! - **simulation/backprop** — the paper's modification: the value
 //!   propagated is the *maximum* reward seen along the simulation path,
@@ -83,13 +84,16 @@ impl RewardModel for ExactSynthReward {
     }
 }
 
-/// Dirty-cone incremental reward: design PCS decomposed into memoized
-/// per-cone synthesis results (`syncircuit_synth::incremental`), so a
-/// reward query after a swap only re-synthesizes the cones whose fan-in
-/// changed. Deterministic and self-consistent, but *not* bit-identical
-/// to [`ExactSynthReward`] (global CSE is invisible to cone-local
-/// synthesis); use it where reward-model throughput dominates, e.g.
-/// full-design register optimization.
+/// Dirty-cone incremental reward: design PCS decomposed into per-cone
+/// synthesis results (`syncircuit_synth::incremental`). The evaluator
+/// keeps a per-apex memo of the graph it scored last and diffs each new
+/// state against it in O(V + E), so a reward query after a swap only
+/// re-walks, re-keys and looks up the cones holding a node whose parent
+/// list changed; a cone missing from the shared table is synthesized
+/// straight from the host graph. Deterministic and self-consistent, but
+/// *not* bit-identical to [`ExactSynthReward`] (global CSE is invisible
+/// to cone-local synthesis); use it where reward-model throughput
+/// dominates, e.g. full-design register optimization.
 ///
 /// The memo table can be shared between reward instances — and between
 /// worker threads — via [`IncrementalConeReward::with_shared`]: each
@@ -118,7 +122,9 @@ impl IncrementalConeReward {
     }
 
     /// Cone-cache hit/miss counters accumulated so far (summed over all
-    /// views of the underlying table when it is shared).
+    /// views of the underlying table when it is shared). Hits count
+    /// shared-table lookups only: cones the per-apex memo answers never
+    /// reach the table.
     pub fn cache_stats(&self) -> ConeCacheStats {
         self.cache.borrow().stats()
     }
@@ -1582,16 +1588,35 @@ mod tests {
     }
 
     /// Same contract for the incremental cone evaluator, plus cache
-    /// effectiveness across repeated queries.
+    /// effectiveness across repeated queries: a repeat on an unchanged
+    /// graph is answered by the per-apex memo without touching the
+    /// shared table, and a fresh reward over the same table hits it.
     #[test]
     fn incremental_reward_orders_redundancy_and_caches() {
         let reward = IncrementalConeReward::new();
         let g = redundant_cone();
         let first = reward.pcs(&g);
+        let cold = reward.cache_stats();
         let second = reward.pcs(&g);
-        assert_eq!(first, second, "evaluator must be deterministic");
-        let stats = reward.cache_stats();
-        assert!(stats.hits > 0, "second query must hit the cone cache");
+        assert_eq!(
+            first.to_bits(),
+            second.to_bits(),
+            "evaluator must be deterministic"
+        );
+        assert_eq!(
+            reward.cache_stats(),
+            cold,
+            "repeat query does no lookups and no synthesis"
+        );
+        let shared = reward.cache.borrow().shared().clone();
+        let fresh = IncrementalConeReward::with_shared(shared);
+        assert_eq!(fresh.pcs(&g).to_bits(), first.to_bits());
+        let warm = fresh.cache_stats();
+        assert_eq!(warm.misses, cold.misses, "fresh reward synthesizes nothing");
+        assert!(
+            warm.hits > cold.hits,
+            "fresh reward must hit the cone cache"
+        );
     }
 
     #[test]

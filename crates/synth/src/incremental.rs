@@ -5,29 +5,54 @@
 //! candidate swap ([`crate::passes::optimize_with`]), although one
 //! atomic parent swap perturbs at most a handful of register cones. This
 //! module decomposes the design-level PCS into per-cone synthesis
-//! results memoized by a structural cone key: a reward query only pays
-//! for synthesis of cones whose fan-in actually changed under the swap
-//! (cache miss); every untouched cone is a hash lookup.
+//! results, and only re-scores the cones a change touched.
 //!
-//! # Sharing the warm state across workers
+//! # Per-apex memo
 //!
-//! The memo table lives in [`SharedConeSynthCache`]: `SHARD_COUNT`-way
-//! lock-striped (shard chosen by the structural key's low bits, one
-//! `Mutex`-guarded map per shard), so concurrent workers — e.g. the
+//! Each [`ConeSynthCache`] view remembers the graph it scored last: a
+//! snapshot of its node attributes and parent lists, and, for every
+//! apex (observed register or primary output) it scored, the area plus
+//! the recorded cone (members and apex) that area came from. A query
+//! diffs the new graph against that snapshot in O(V + E):
+//!
+//! - if the node count or any node's attributes differ, every memoized
+//!   area is dropped;
+//! - otherwise an area is dropped only when its recorded cone contains
+//!   a node whose parent list changed.
+//!
+//! This is sound because the fan-in walk
+//! ([`fanin_cone_into`]) reads only the parent lists of the apex and
+//! its members, and the cone key and synthesis read only their
+//! attributes (and the boundary's): a cone with no changed parent list
+//! walks, keys and synthesizes exactly as before. Only the dropped
+//! apexes are walked, keyed and looked up; the sum is still taken in
+//! node order, so the reward bits equal a cold evaluation's. After a
+//! swap that is typically a handful of cones out of dozens.
+//!
+//! # Shared synthesis table
+//!
+//! A re-scored cone is keyed by a structural fingerprint computed in
+//! the host graph and looked up in a [`SharedConeSynthCache`]:
+//! `SHARD_COUNT`-way lock-striped (shard chosen by the key's low bits,
+//! one `Mutex`-guarded map per shard), so concurrent workers — e.g. the
 //! threads of a `generate_batch` fan-out — deduplicate cone synthesis
 //! *between requests* instead of each re-synthesizing the same cones.
 //! Each worker owns a [`ConeSynthCache`] view: the shared table behind
-//! an `Arc`, plus private tag-stamped scratch (observability mask, cone
-//! visited sets, member/boundary lists, cone-local id maps), so warm
-//! queries stay **allocation-free** and never contend on anything but
-//! the per-shard locks. Two workers racing on the same cold key may
-//! both synthesize, but they insert the same bits (synthesis is a pure
-//! function of the key), so results are byte-identical to a sequential
-//! run regardless of scheduling; only the hit/miss counters are
-//! schedule-dependent.
+//! an `Arc`, plus the private memo and tag-stamped scratch
+//! (observability mask, cone visited sets, member/boundary lists,
+//! cone-local id maps, synthesis working state), so warm queries stay
+//! **allocation-free** and never contend on anything but the per-shard
+//! locks. Two workers racing on the same cold key may both synthesize,
+//! but they insert the same bits (synthesis is a pure function of the
+//! key), so results are byte-identical to a sequential run regardless
+//! of scheduling; only the hit/miss counters are schedule-dependent.
+//! [`ConeCacheStats::hits`] counts shared-table lookups only: a cone the
+//! memo answers never reaches the table.
 //!
-//! Standalone cone circuits are only materialized on cache misses, and
-//! synthesis runs *outside* the shard lock.
+//! On a table miss the cone is synthesized without building a
+//! standalone circuit: [`cone_optimized_area`] fills reusable working
+//! state straight from the host graph, reusing the cone-local ids the
+//! key computation assigned, and runs outside the shard lock.
 //!
 //! Long-lived serving processes bound the table with a per-shard entry
 //! capacity (CLOCK / second-chance eviction, see
@@ -39,7 +64,7 @@
 //! The decomposed metric is deliberately *not* bit-identical to
 //! whole-design PCS — global CSE can merge logic across cones, which no
 //! cone-local scheme can observe — but it is deterministic,
-//! self-consistent (warm cache ≡ cold cache ≡ shared cache,
+//! self-consistent (warm view ≡ fresh view ≡ shared table,
 //! property-tested), and preserves the two reward gradients Phase 3
 //! needs (paper §VI):
 //!
@@ -53,18 +78,20 @@
 //! node_count`, matching the whole-design PCS normalization.
 
 use crate::area::CellLibrary;
-use crate::passes::optimized_area;
+use crate::passes::{cone_optimized_area, AreaScratch};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use syncircuit_graph::cone::{cone_circuit_parts, fanin_cone_into, ConeScratch};
+use syncircuit_graph::cone::{fanin_cone_into, ConeScratch};
 use syncircuit_graph::fingerprint::splitmix64;
-use syncircuit_graph::{CircuitGraph, NodeId, NodeType};
+use syncircuit_graph::{CircuitGraph, Node, NodeId, NodeType};
 
 /// Aggregate cache hit/miss/eviction counters of a cone-synthesis cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConeCacheStats {
-    /// Cone synthesis results served from the cache.
+    /// Cone synthesis results served from the shared table. Cones a
+    /// view's per-apex memo answers never reach the table and are not
+    /// counted.
     pub hits: u64,
     /// Cone synthesis runs actually executed.
     pub misses: u64,
@@ -153,6 +180,75 @@ impl KeyScratch {
             }
         }
         h
+    }
+
+    /// Cone-local id [`KeyScratch::cone_key`] assigned to `id` (valid
+    /// for the boundary, members and apex of the last keyed cone).
+    fn local(&self, id: NodeId) -> usize {
+        debug_assert_eq!(
+            self.local_tag[id.index()],
+            self.tag,
+            "{id} is in the keyed cone"
+        );
+        self.local_id[id.index()] as usize
+    }
+}
+
+/// Per-apex memo of the graph a view scored last: a snapshot of its
+/// node attributes and parent lists (CSR), and for every apex scored on
+/// it the area plus the cone (members, then the apex) that area was
+/// computed from.
+#[derive(Debug, Default)]
+struct ApexMemo {
+    nodes: Vec<Node>,
+    offsets: Vec<usize>,
+    parents: Vec<NodeId>,
+    dirty: Vec<bool>,
+    area: Vec<Option<f64>>,
+    cone: Vec<Vec<NodeId>>,
+}
+
+impl ApexMemo {
+    /// Diffs `g` against the snapshot, drops every area that `g` may
+    /// score differently, and makes `g` the snapshot. Different node
+    /// attributes (or count) drop every area; otherwise an area goes
+    /// only when its recorded cone holds a node whose parent list
+    /// changed.
+    fn sync(&mut self, g: &CircuitGraph) {
+        let n = g.node_count();
+        let same_nodes =
+            self.nodes.len() == n && g.iter().all(|(id, node)| self.nodes[id.index()] == *node);
+        if same_nodes {
+            let mut any = false;
+            for (v, dirty) in self.dirty.iter_mut().enumerate() {
+                let old = &self.parents[self.offsets[v]..self.offsets[v + 1]];
+                *dirty = old != g.parents(NodeId::new(v));
+                any |= *dirty;
+            }
+            if !any {
+                return;
+            }
+            let dirty = &self.dirty;
+            for (area, cone) in self.area.iter_mut().zip(&self.cone) {
+                if area.is_some() && cone.iter().any(|m| dirty[m.index()]) {
+                    *area = None;
+                }
+            }
+        } else {
+            self.nodes.clear();
+            self.nodes.extend(g.iter().map(|(_, node)| *node));
+            self.dirty.resize(n, false);
+            self.area.clear();
+            self.area.resize(n, None);
+            self.cone.resize_with(n, Vec::new);
+        }
+        self.offsets.clear();
+        self.parents.clear();
+        self.offsets.push(0);
+        for v in g.node_ids() {
+            self.parents.extend_from_slice(g.parents(v));
+            self.offsets.push(self.parents.len());
+        }
     }
 }
 
@@ -501,15 +597,18 @@ impl SharedConeSynthCache {
 }
 
 /// Per-worker view of a [`SharedConeSynthCache`]: the shared memo table
-/// behind an `Arc` plus private tag-stamped scratch, so warm queries
-/// are allocation-free and scratch never crosses threads.
+/// behind an `Arc` plus a private per-apex memo and tag-stamped scratch,
+/// so warm queries are allocation-free and scratch never crosses
+/// threads.
 ///
-/// Keys are structural fingerprints of the cone — hashed *in the host
-/// graph* (boundary kinds, member attributes, cone-local wiring), so a
-/// warm query never materializes a cone circuit; the standalone circuit
-/// is only built on a cache miss, to be synthesized. Identical cones —
-/// across queries, registers, requests, workers, or even designs —
-/// share one synthesis result.
+/// A query re-scores only the apexes whose recorded cone holds a node
+/// whose parent list changed since the view's previous query (see the
+/// module docs). A re-scored cone is keyed by a structural fingerprint
+/// hashed *in the host graph* (boundary kinds, member attributes,
+/// cone-local wiring), so no cone circuit is ever materialized; a table
+/// miss synthesizes the cone straight from the host graph. Identical
+/// cones — across queries, registers, requests, workers, or even
+/// designs — share one synthesis result.
 ///
 /// A private evaluator ([`ConeSynthCache::new`]) owns a fresh shared
 /// table; fan-out callers clone one `Arc` into
@@ -517,9 +616,11 @@ impl SharedConeSynthCache {
 #[derive(Debug)]
 pub struct ConeSynthCache {
     shared: Arc<SharedConeSynthCache>,
+    memo: ApexMemo,
     key: KeyScratch,
     cone: ConeScratch,
     observed: ObservedScratch,
+    synth: AreaScratch,
 }
 
 impl Default for ConeSynthCache {
@@ -543,9 +644,11 @@ impl ConeSynthCache {
     pub fn with_shared(shared: Arc<SharedConeSynthCache>) -> Self {
         ConeSynthCache {
             shared,
+            memo: ApexMemo::default(),
             key: KeyScratch::default(),
             cone: ConeScratch::new(),
             observed: ObservedScratch::default(),
+            synth: AreaScratch::new(),
         }
     }
 
@@ -561,15 +664,17 @@ impl ConeSynthCache {
 
     /// Incremental cone-decomposed PCS of `g` (larger ⇒ less redundancy).
     ///
-    /// Deterministic in `g` alone: the cache only memoizes a pure
-    /// function of cone structure, so a warm evaluator returns exactly
-    /// what a cold one would — and a shared evaluator exactly what a
-    /// private one would, regardless of what other workers inserted.
+    /// Deterministic in `g` alone: the per-apex memo and the table only
+    /// remember pure functions of cone structure, so a warm evaluator
+    /// returns exactly what a cold one would — and a shared evaluator
+    /// exactly what a private one would, regardless of what other
+    /// workers inserted.
     pub fn pcs(&mut self, g: &CircuitGraph) -> f64 {
         let n = g.node_count();
         if n == 0 {
             return 0.0;
         }
+        self.memo.sync(g);
         self.observed.mark(g);
         let mut area = 0.0;
         for (id, node) in g.iter() {
@@ -589,15 +694,25 @@ impl ConeSynthCache {
         area / n as f64
     }
 
-    /// Memoized post-synthesis area of the fan-in cone of `apex`; the
-    /// standalone cone circuit is materialized only when the key is new.
+    /// Post-synthesis area of the fan-in cone of `apex`: from the memo
+    /// when the cone is unchanged, else from the shared table, else
+    /// synthesized straight from the host graph.
     fn cone_area(&mut self, g: &CircuitGraph, apex: NodeId) -> f64 {
+        if let Some(a) = self.memo.area[apex.index()] {
+            return a;
+        }
         let (members, boundary) = fanin_cone_into(g, apex, &mut self.cone);
         let key = self.key.cone_key(g, boundary, members, apex);
-        self.shared.area_or_insert(key, |lib| {
-            let circuit = cone_circuit_parts(g, apex, members, boundary).circuit;
-            optimized_area(&circuit, lib)
-        })
+        let (ids, synth) = (&self.key, &mut self.synth);
+        let a = self.shared.area_or_insert(key, |lib| {
+            cone_optimized_area(g, apex, members, boundary, |v| ids.local(v), lib, synth)
+        });
+        let recorded = &mut self.memo.cone[apex.index()];
+        recorded.clear();
+        recorded.extend_from_slice(members);
+        recorded.push(apex);
+        self.memo.area[apex.index()] = Some(a);
+        a
     }
 }
 
@@ -674,13 +789,25 @@ mod tests {
 
     #[test]
     fn repeated_queries_hit_cache() {
+        // A repeat query on an unchanged graph is answered by the view's
+        // per-apex memo: identical bits, no table lookup, no synthesis.
         let (alive, _) = alive_and_dead();
         let mut ev = ConeSynthCache::new();
-        ev.pcs(&alive);
-        let misses_after_first = ev.stats().misses;
-        ev.pcs(&alive);
-        assert_eq!(ev.stats().misses, misses_after_first, "second query is all hits");
-        assert!(ev.stats().hits > 0);
+        let first = ev.pcs(&alive);
+        let cold = ev.stats();
+        assert!(cold.misses > 0);
+        assert_eq!(ev.pcs(&alive).to_bits(), first.to_bits());
+        assert_eq!(
+            ev.stats(),
+            cold,
+            "repeat query does no lookups and no synthesis"
+        );
+        // A fresh view over the same table still hits every cone.
+        let mut fresh = ConeSynthCache::with_shared(ev.shared().clone());
+        assert_eq!(fresh.pcs(&alive).to_bits(), first.to_bits());
+        let warm = fresh.stats();
+        assert_eq!(warm.misses, cold.misses, "fresh view synthesizes nothing");
+        assert!(warm.hits > cold.hits, "fresh view hits the table: {warm:?}");
     }
 
     #[test]

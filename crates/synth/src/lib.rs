@@ -53,7 +53,9 @@ pub mod sta;
 pub use area::{area_of_graph, gate_count, CellLibrary};
 pub use incremental::{ConeCacheStats, ConeShardStats, ConeSynthCache, SharedConeSynthCache};
 pub use labels::{label_design, DesignLabels, LabelConfig};
-pub use passes::{optimize, optimized_area, pcs_with, SynthResult, SynthStats};
+pub use passes::{
+    cone_optimized_area, optimize, optimized_area, pcs_with, AreaScratch, SynthResult, SynthStats,
+};
 pub use sta::{timing_analysis, TimingReport};
 
 /// Sequential cell preservation ratio (paper §VI): sequential bits in the

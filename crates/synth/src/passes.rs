@@ -75,11 +75,12 @@ struct Slots {
 }
 
 impl Slots {
-    fn from_ids(ids: &[NodeId]) -> Slots {
+    /// Slots holding `map(id)` for each id, in slot order.
+    fn mapped(ids: &[NodeId], map: impl Fn(NodeId) -> usize) -> Slots {
         debug_assert!(ids.len() <= 3, "node arity exceeds Mux");
         let mut s = Slots::default();
         for &id in ids {
-            s.p[s.len as usize] = id.index();
+            s.p[s.len as usize] = map(id);
             s.len += 1;
         }
         s
@@ -101,56 +102,99 @@ impl Slots {
     }
 }
 
-/// Runs the fold/CSE fixpoint, returning the final working state.
-fn run_fixpoint(g: &CircuitGraph) -> (Vec<Node>, Vec<Slots>, Vec<Option<usize>>) {
-    debug_assert!(g.is_valid(), "optimize requires a valid graph");
-    let n = g.node_count();
-    let mut nodes: Vec<Node> = g.iter().map(|(_, node)| *node).collect();
-    let mut parents: Vec<Slots> = (0..n)
-        .map(|i| Slots::from_ids(g.parents(NodeId::new(i))))
-        .collect();
-    let mut repl: Vec<Option<usize>> = vec![None; n];
-
-    let mut rounds = 0usize;
-    let mut cse_seen = CseMap::new();
-    loop {
-        let mut changed = false;
-        changed |= fold_and_simplify(&mut nodes, &mut parents, &mut repl);
-        changed |= cse(&nodes, &parents, &mut repl, &mut cse_seen);
-        rounds += 1;
-        if !changed || rounds > n + 4 {
-            break;
-        }
-    }
-    (nodes, parents, repl)
+/// Working state of one synthesis run: node attributes, wiring and the
+/// replacement map, plus the CSE map and liveness buffers. Loaded either
+/// from a whole graph ([`optimized_area`], [`optimize_with`]) or straight
+/// from a cone of a host graph ([`cone_optimized_area`]); reusing one
+/// scratch keeps repeated runs allocation-free once its buffers are warm.
+#[derive(Debug, Default)]
+pub struct AreaScratch {
+    nodes: Vec<Node>,
+    parents: Vec<Slots>,
+    repl: Vec<Option<usize>>,
+    cse: CseMap,
+    live: Vec<bool>,
+    stack: Vec<usize>,
 }
 
-/// Liveness: reverse reachability from outputs over resolved parents.
-fn liveness(nodes: &[Node], parents: &[Slots], repl: &[Option<usize>]) -> Vec<bool> {
-    let n = nodes.len();
-    let mut live = vec![false; n];
-    let mut stack: Vec<usize> = (0..n)
-        .filter(|&u| repl[u].is_none() && nodes[u].ty() == NodeType::Output)
-        .collect();
-    for &s in &stack {
-        live[s] = true;
+impl AreaScratch {
+    /// Empty scratch (buffers grow on first use).
+    pub fn new() -> Self {
+        Self::default()
     }
-    while let Some(u) = stack.pop() {
-        for &p in parents[u].as_slice() {
-            let p = resolve(repl, p);
-            if !live[p] {
-                live[p] = true;
-                stack.push(p);
+
+    /// Working state loaded with the whole of `g`.
+    fn for_graph(g: &CircuitGraph) -> Self {
+        debug_assert!(g.is_valid(), "optimize requires a valid graph");
+        let mut s = Self::new();
+        for (id, node) in g.iter() {
+            s.nodes.push(*node);
+            s.parents.push(Slots::mapped(g.parents(id), NodeId::index));
+        }
+        s
+    }
+
+    /// Runs the fold/CSE fixpoint on the loaded state.
+    fn run_fixpoint(&mut self) {
+        let n = self.nodes.len();
+        self.repl.clear();
+        self.repl.resize(n, None);
+        let mut rounds = 0usize;
+        loop {
+            let mut changed = false;
+            changed |= fold_and_simplify(&mut self.nodes, &mut self.parents, &mut self.repl);
+            changed |= cse(&self.nodes, &self.parents, &mut self.repl, &mut self.cse);
+            rounds += 1;
+            if !changed || rounds > n + 4 {
+                break;
             }
         }
     }
-    live
+
+    /// Liveness: reverse reachability from outputs over resolved parents.
+    fn mark_live(&mut self) {
+        let (nodes, parents, repl) = (&self.nodes, &self.parents, &self.repl);
+        self.live.clear();
+        self.live.resize(nodes.len(), false);
+        self.stack.clear();
+        for u in 0..nodes.len() {
+            if repl[u].is_none() && nodes[u].ty() == NodeType::Output {
+                self.live[u] = true;
+                self.stack.push(u);
+            }
+        }
+        while let Some(u) = self.stack.pop() {
+            for &p in parents[u].as_slice() {
+                let p = resolve(repl, p);
+                if !self.live[p] {
+                    self.live[p] = true;
+                    self.stack.push(p);
+                }
+            }
+        }
+    }
+
+    /// Fixpoint, liveness, then the cell areas of the surviving nodes
+    /// summed in node order.
+    fn optimized_area(&mut self, lib: &CellLibrary) -> f64 {
+        self.run_fixpoint();
+        self.mark_live();
+        let mut area = 0.0;
+        for u in 0..self.nodes.len() {
+            if self.live[u] && self.repl[u].is_none() {
+                area += lib.node_area(&self.nodes[u]);
+            }
+        }
+        area
+    }
 }
 
 /// Runs the full optimization pipeline with an explicit cell library.
 pub fn optimize_with(g: &CircuitGraph, lib: &CellLibrary) -> SynthResult {
-    let (nodes, parents, repl) = run_fixpoint(g);
-    compact(g, &nodes, &parents, &repl, lib)
+    let mut s = AreaScratch::for_graph(g);
+    s.run_fixpoint();
+    s.mark_live();
+    compact(g, &s, lib)
 }
 
 /// Post-synthesis circuit size of `g` without materializing the
@@ -170,15 +214,55 @@ pub fn pcs_with(g: &CircuitGraph, lib: &CellLibrary) -> f64 {
 /// Post-synthesis cell area of `g` without materializing the netlist;
 /// bit-identical to `optimize_with(g, lib).stats.area_after`.
 pub fn optimized_area(g: &CircuitGraph, lib: &CellLibrary) -> f64 {
-    let (nodes, parents, repl) = run_fixpoint(g);
-    let live = liveness(&nodes, &parents, &repl);
-    let mut area = 0.0;
-    for u in 0..nodes.len() {
-        if live[u] && repl[u].is_none() {
-            area += lib.node_area(&nodes[u]);
-        }
+    AreaScratch::for_graph(g).optimized_area(lib)
+}
+
+/// Post-synthesis cell area of the standalone circuit of one cone of
+/// `g`, without building it: bit-identical to
+/// `optimized_area(&cone_circuit_parts(g, apex, members, boundary).circuit, lib)`.
+///
+/// The working state is filled straight from the host graph in the
+/// order `cone_circuit_parts` builds its nodes — boundary leaves
+/// (constants keep their value, everything else becomes an input),
+/// members, the apex, then a fresh output port unless the apex is a
+/// sink. `local(v)` must return that cone-local position for every
+/// boundary node, member and the apex (the order
+/// [`fanin_cone_into`](syncircuit_graph::cone::fanin_cone_into)'s
+/// slices give). Allocation-free once `scratch` is warm.
+pub fn cone_optimized_area(
+    g: &CircuitGraph,
+    apex: NodeId,
+    members: &[NodeId],
+    boundary: &[NodeId],
+    local: impl Fn(NodeId) -> usize,
+    lib: &CellLibrary,
+    scratch: &mut AreaScratch,
+) -> f64 {
+    scratch.nodes.clear();
+    scratch.parents.clear();
+    for &b in boundary {
+        debug_assert_eq!(local(b), scratch.nodes.len(), "boundary order");
+        let node = g.node(b);
+        let w = node.width();
+        scratch.nodes.push(match node.ty() {
+            NodeType::Const => Node::with_aux(NodeType::Const, w, node.aux() & mask(w)),
+            _ => Node::new(NodeType::Input, w),
+        });
+        scratch.parents.push(Slots::default());
     }
-    area
+    for &m in members.iter().chain(std::iter::once(&apex)) {
+        debug_assert_eq!(local(m), scratch.nodes.len(), "member order");
+        scratch.nodes.push(*g.node(m));
+        scratch.parents.push(Slots::mapped(g.parents(m), &local));
+    }
+    let apex_node = g.node(apex);
+    if !apex_node.ty().is_sink() {
+        scratch
+            .nodes
+            .push(Node::new(NodeType::Output, apex_node.width()));
+        scratch.parents.push(Slots::mapped(&[apex], &local));
+    }
+    scratch.optimized_area(lib)
 }
 
 fn resolve(repl: &[Option<usize>], mut u: usize) -> usize {
@@ -439,15 +523,9 @@ fn cse(nodes: &[Node], parents: &[Slots], repl: &mut [Option<usize>], seen: &mut
 }
 
 /// Dead-code elimination + compaction into a fresh graph.
-fn compact(
-    original: &CircuitGraph,
-    nodes: &[Node],
-    parents: &[Slots],
-    repl: &[Option<usize>],
-    lib: &CellLibrary,
-) -> SynthResult {
+fn compact(original: &CircuitGraph, s: &AreaScratch, lib: &CellLibrary) -> SynthResult {
+    let (nodes, parents, repl, live) = (&s.nodes, &s.parents, &s.repl, &s.live);
     let n = nodes.len();
-    let live = liveness(nodes, parents, repl);
 
     let mut netlist = CircuitGraph::new(original.name());
     let mut old_to_new: Vec<Option<NodeId>> = vec![None; n];
@@ -676,6 +754,44 @@ mod tests {
             );
         }
         assert_eq!(pcs_with(&CircuitGraph::new("empty"), &lib), 0.0);
+    }
+
+    #[test]
+    fn cone_scratch_mirrors_cone_circuit_layout() {
+        use syncircuit_graph::cone::{cone_circuit_parts, fanin_cone_into, ConeScratch};
+        // in → not → reg → out: the register apex gains an output port,
+        // the sink apex is its own port.
+        let mut g = CircuitGraph::new("layout");
+        let i = g.add_node(NodeType::Input, 8);
+        let n = g.add_node(NodeType::Not, 8);
+        let r = g.add_node(NodeType::Reg, 8);
+        let o = g.add_node(NodeType::Output, 8);
+        g.set_parents(n, &[i]).unwrap();
+        g.set_parents(r, &[n]).unwrap();
+        g.set_parents(o, &[r]).unwrap();
+        let lib = CellLibrary::default();
+        let mut cone = ConeScratch::new();
+        let mut s = AreaScratch::new();
+        for apex in [r, o] {
+            let (members, boundary) = fanin_cone_into(&g, apex, &mut cone);
+            let order: Vec<NodeId> = boundary
+                .iter()
+                .chain(members)
+                .chain(std::iter::once(&apex))
+                .copied()
+                .collect();
+            let local = |v: NodeId| order.iter().position(|&u| u == v).unwrap();
+            let area = cone_optimized_area(&g, apex, members, boundary, local, &lib, &mut s);
+            let oracle = cone_circuit_parts(&g, apex, members, boundary).circuit;
+            assert_eq!(s.nodes.len(), oracle.node_count(), "cone of {apex}");
+            let ports = s
+                .nodes
+                .iter()
+                .filter(|n| n.ty() == NodeType::Output)
+                .count();
+            assert_eq!(ports, 1, "cone of {apex} has exactly one port");
+            assert_eq!(area.to_bits(), optimized_area(&oracle, &lib).to_bits());
+        }
     }
 
     #[test]
