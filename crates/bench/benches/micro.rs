@@ -12,10 +12,11 @@ use syncircuit_core::{
     RefineConfig, RewardKind, RewardModel, SynCircuit,
 };
 use syncircuit_datasets::design;
-use syncircuit_graph::cone::{all_driving_cones, cone_circuit};
+use syncircuit_graph::cone::{all_driving_cones, cone_circuit, fanin_cone_into, ConeScratch};
 use syncircuit_graph::stats::StructuralStats;
 use syncircuit_graph::testing::random_circuit_with_size;
-use syncircuit_synth::{optimize, timing_analysis};
+use syncircuit_graph::{CircuitGraph, NodeId, NodeType};
+use syncircuit_synth::{cone_optimized_area, optimize, timing_analysis, AreaScratch, CellLibrary};
 
 fn bench_synthesis(c: &mut Criterion) {
     let g = design("tinyrocket").expect("corpus design").graph;
@@ -201,12 +202,9 @@ fn bench_batch_shared_cache(c: &mut Criterion) {
     });
 }
 
-/// One request end to end at the `gen-large` size: the serving fleet's
-/// tenant model (tiny configuration, incremental cone reward, bounded
-/// cone cache) generating a fresh 144-node design per iteration through
-/// all three phases. Phase 3 is most of it, so this tracks the reward
-/// path end to end.
-fn bench_generate_full(c: &mut Criterion) {
+/// The serving fleet's tenant model: tiny configuration, incremental
+/// cone reward, bounded cone cache.
+fn tenant_model() -> SynCircuit {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1000);
     let corpus: Vec<_> = (0..2)
         .map(|_| random_circuit_with_size(&mut rng, 20))
@@ -217,12 +215,86 @@ fn bench_generate_full(c: &mut Criterion) {
         .cone_cache_capacity(64)
         .build()
         .expect("valid configuration");
-    let model = SynCircuit::fit(&corpus, cfg).expect("non-empty corpus");
+    SynCircuit::fit(&corpus, cfg).expect("non-empty corpus")
+}
+
+/// One request end to end at the `gen-large` size: the tenant model
+/// generating a fresh 144-node design per iteration through all three
+/// phases. Phase 3 is most of it, so this tracks the reward path end to
+/// end.
+fn bench_generate_full(c: &mut Criterion) {
+    let model = tenant_model();
     c.bench_function("generate_one_144_nodes_full", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
             model.generate_one(black_box(&GenRequest::nodes(144).seeded(seed)))
+        })
+    });
+}
+
+/// One cone to synthesize: its apex, members and boundary, and the
+/// cone-local id of every host node in it (dense over the host graph).
+struct BatteryCone {
+    apex: NodeId,
+    members: Vec<NodeId>,
+    boundary: Vec<NodeId>,
+    local: Vec<usize>,
+}
+
+/// The cone-synthesis layer alone — what every cone-table miss costs:
+/// all register and output cones of four 144–240-node tenant designs
+/// (the Phase 3 outputs), each synthesized straight from its host graph
+/// through one reused `AreaScratch`.
+fn bench_cone_synthesis(c: &mut Criterion) {
+    let model = tenant_model();
+    let designs: Vec<CircuitGraph> = (0..4u64)
+        .map(|k| {
+            let request = GenRequest::nodes(144 + 32 * k as usize).seeded(k);
+            model.generate_one(&request).expect("tenant design").graph
+        })
+        .collect();
+    let mut scratch = ConeScratch::new();
+    let mut battery = Vec::new();
+    for g in &designs {
+        for (apex, node) in g.iter() {
+            if !matches!(node.ty(), NodeType::Reg | NodeType::Output) {
+                continue;
+            }
+            let (members, boundary) = fanin_cone_into(g, apex, &mut scratch);
+            let mut local = vec![usize::MAX; g.node_count()];
+            for (k, v) in boundary.iter().chain(members).chain([&apex]).enumerate() {
+                local[v.index()] = k;
+            }
+            battery.push((
+                g,
+                BatteryCone {
+                    apex,
+                    members: members.to_vec(),
+                    boundary: boundary.to_vec(),
+                    local,
+                },
+            ));
+        }
+    }
+    let lib = CellLibrary::default();
+    let mut area = AreaScratch::new();
+    c.bench_function("cone_synthesis_battery", |b| {
+        b.iter(|| {
+            let mut total = 0.0;
+            for (g, cone) in &battery {
+                let local = |v: NodeId| cone.local[v.index()];
+                total += cone_optimized_area(
+                    g,
+                    cone.apex,
+                    &cone.members,
+                    &cone.boundary,
+                    local,
+                    &lib,
+                    &mut area,
+                );
+            }
+            black_box(total)
         })
     });
 }
@@ -249,6 +321,6 @@ fn bench_fit_parallel(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_synthesis, bench_sta, bench_stats, bench_diffusion_sample, bench_refine, bench_mcts_cone, bench_optimize_registers, bench_shared_cone_cache, bench_batch_shared_cache, bench_generate_full, bench_fit_parallel
+    targets = bench_synthesis, bench_sta, bench_stats, bench_diffusion_sample, bench_refine, bench_mcts_cone, bench_optimize_registers, bench_shared_cone_cache, bench_batch_shared_cache, bench_generate_full, bench_cone_synthesis, bench_fit_parallel
 }
 criterion_main!(benches);

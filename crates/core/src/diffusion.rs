@@ -127,7 +127,7 @@ pub struct SampledGraph {
 /// never reaches the output bytes.
 #[derive(Clone, Debug)]
 pub struct EdgeProbs {
-    map: HashMap<(u32, u32), f32, crate::hash::FxBuildHasher>,
+    map: HashMap<(u32, u32), f32, syncircuit_graph::hash::FxBuildHasher>,
     default: f32,
 }
 

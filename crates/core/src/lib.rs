@@ -47,7 +47,6 @@
 
 pub mod attrs;
 pub mod config;
-mod hash;
 mod par;
 pub mod denoiser;
 pub mod diffusion;

@@ -450,7 +450,7 @@ impl Engine {
     }
 }
 
-use crate::hash::{FpBuildHasher, FxBuildHasher};
+use syncircuit_graph::hash::{FpBuildHasher, FxBuildHasher};
 
 type SwapSet = HashSet<Swap, FxBuildHasher>;
 

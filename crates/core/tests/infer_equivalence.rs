@@ -368,26 +368,35 @@ fn one_shot_sample_equals_oracle() {
     assert_sampled_identical(&model.sample(&attrs, 12), &model.sample_via_tape(&attrs, 12));
 }
 
-/// Hidden 48 (the `standard()` width): the fused decoder head's shared
-/// suffix is wider than 32 columns, so this is the width that used to
-/// overflow a fixed suffix buffer.
+/// Width battery: `sample_with` ≡ `sample_via_tape` at every hidden
+/// width around the packed kernels' tile edges — 1, the tile sizes and
+/// their neighbours (31/32/33), 48 (the `standard()` width, whose fused
+/// decoder head's shared suffix is wider than 32 columns and used to
+/// overflow a fixed suffix buffer), and the wide 64/256. Training stays
+/// at 2 epochs on a 16-node corpus so the battery stays fast.
 #[test]
-fn hidden_48_sampling_matches_oracle() {
-    let mut rng = StdRng::seed_from_u64(48);
-    let corpus: Vec<CircuitGraph> = (0..2)
-        .map(|_| random_circuit_with_size(&mut rng, 16))
-        .collect();
-    let mut cfg = DiffusionConfig::tiny();
-    cfg.hidden = 48;
-    cfg.epochs = 2;
-    let model = DiffusionModel::train(&corpus, cfg, 48).unwrap();
-    let mut scratch = SamplerScratch::new();
-    for seed in 0..3u64 {
-        let attrs = random_attrs(8 + seed as usize * 9, seed);
-        assert_sampled_identical(
-            &model.sample_with(&attrs, seed, &mut scratch),
-            &model.sample_via_tape(&attrs, seed),
-        );
+fn hidden_width_battery_sampling_matches_oracle() {
+    for hidden in [1usize, 16, 31, 32, 33, 48, 64, 256] {
+        // Captured, so a failure names its width.
+        println!("hidden {hidden}");
+        let mut rng = StdRng::seed_from_u64(hidden as u64);
+        let corpus: Vec<CircuitGraph> = (0..2)
+            .map(|_| random_circuit_with_size(&mut rng, 16))
+            .collect();
+        let mut cfg = DiffusionConfig::tiny();
+        cfg.hidden = hidden;
+        cfg.epochs = 2;
+        let model = DiffusionModel::train(&corpus, cfg, hidden as u64).unwrap();
+        let mut scratch = SamplerScratch::new();
+        // The tape oracle is slow at 256 wide: one small sample there.
+        let samples = if hidden > 64 { 1 } else { 3 };
+        for seed in 0..samples {
+            let attrs = random_attrs(8 + seed as usize * 9, seed);
+            assert_sampled_identical(
+                &model.sample_with(&attrs, seed, &mut scratch),
+                &model.sample_via_tape(&attrs, seed),
+            );
+        }
     }
 }
 

@@ -1,14 +1,14 @@
-//! Crate-internal hashers for hot-path maps.
+//! Hashers for hot-path maps, shared by every crate of the workspace.
 //!
 //! Outputs never depend on map iteration order anywhere these are used
 //! (callers sort or key-address their reads), so swapping SipHash for a
 //! cheap mixer is a pure wall-clock win.
 
 /// Pass-through hasher for keys that are already uniform 64-bit hashes
-/// (Zobrist fingerprints): hashing them again with SipHash would only
-/// burn cycles on the reward-cache hot path.
+/// (Zobrist fingerprints, splitmix64-chained cone keys): hashing them
+/// again with SipHash would only burn cycles on a hot path.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct FpHasher(u64);
+pub struct FpHasher(u64);
 
 impl std::hash::Hasher for FpHasher {
     fn finish(&self) -> u64 {
@@ -22,12 +22,14 @@ impl std::hash::Hasher for FpHasher {
     }
 }
 
-pub(crate) type FpBuildHasher = std::hash::BuildHasherDefault<FpHasher>;
+/// `BuildHasher` of [`FpHasher`].
+pub type FpBuildHasher = std::hash::BuildHasherDefault<FpHasher>;
 
 /// Cheap multiply-xor hasher (FxHash-style) for small `Copy` keys on
-/// the sampling hot path; only membership semantics matter.
+/// hot paths; only membership semantics matter. The low bits of
+/// [`finish`](std::hash::Hasher::finish) are the best mixed.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 impl std::hash::Hasher for FxHasher {
     fn finish(&self) -> u64 {
@@ -46,4 +48,5 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-pub(crate) type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
+/// `BuildHasher` of [`FxHasher`].
+pub type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;

@@ -43,6 +43,7 @@ pub mod comb;
 pub mod cone;
 pub mod error;
 pub mod fingerprint;
+pub mod hash;
 pub mod interp;
 pub mod node;
 pub mod stats;

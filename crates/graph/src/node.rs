@@ -155,10 +155,10 @@ impl NodeType {
     /// Dense categorical index of this type inside [`ALL_NODE_TYPES`].
     #[inline]
     pub fn category(self) -> usize {
-        ALL_NODE_TYPES
-            .iter()
-            .position(|&t| t == self)
-            .expect("every NodeType is listed in ALL_NODE_TYPES")
+        // ALL_NODE_TYPES lists the variants in declaration order
+        // (checked by `category_roundtrip`), so the discriminant is the
+        // index.
+        self as usize
     }
 
     /// Inverse of [`NodeType::category`]. Returns `None` if out of range.

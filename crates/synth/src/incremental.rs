@@ -18,7 +18,8 @@
 //! - if the node count or any node's attributes differ, every memoized
 //!   area is dropped;
 //! - otherwise an area is dropped only when its recorded cone contains
-//!   a node whose parent list changed.
+//!   a node whose parent list changed, and the changed lists are
+//!   rewritten in place in the snapshot.
 //!
 //! This is sound because the fan-in walk
 //! ([`fanin_cone_into`]) reads only the parent lists of the apex and
@@ -32,9 +33,13 @@
 //! # Shared synthesis table
 //!
 //! A re-scored cone is keyed by a structural fingerprint computed in
-//! the host graph and looked up in a [`SharedConeSynthCache`]:
-//! `SHARD_COUNT`-way lock-striped (shard chosen by the key's low bits,
-//! one `Mutex`-guarded map per shard), so concurrent workers — e.g. the
+//! the host graph — a splitmix64 chain over packed words (the sizes;
+//! each boundary leaf's width and constant value; each member's
+//! category, arity, width, aux and 32-bit cone-local parent ids, two to
+//! a word) that determines the standalone cone circuit — and looked up
+//! in a [`SharedConeSynthCache`]: `SHARD_COUNT`-way lock-striped
+//! (shard chosen by the key's upper half, one `Mutex`-guarded map per
+//! shard), so concurrent workers — e.g. the
 //! threads of a `generate_batch` fan-out — deduplicate cone synthesis
 //! *between requests* instead of each re-synthesizing the same cones.
 //! Each worker owns a [`ConeSynthCache`] view: the shared table behind
@@ -84,7 +89,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use syncircuit_graph::cone::{fanin_cone_into, ConeScratch};
 use syncircuit_graph::fingerprint::splitmix64;
-use syncircuit_graph::{CircuitGraph, Node, NodeId, NodeType};
+use syncircuit_graph::hash::FpBuildHasher;
+use syncircuit_graph::{mask, CircuitGraph, Node, NodeId, NodeType};
 
 /// Aggregate cache hit/miss/eviction counters of a cone-synthesis cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -125,11 +131,22 @@ struct KeyScratch {
 }
 
 impl KeyScratch {
-    /// Structural key of a cone, computed in the host graph: assigns
-    /// cone-local ids in the same order the standalone constructors do
-    /// (boundary, members, apex) and hashes boundary kinds, node
-    /// attributes and local wiring with a splitmix64 chain. Equal cone
-    /// circuits hash equally regardless of host-graph node ids.
+    /// Structural key of a cone, computed in the host graph. Assigns
+    /// cone-local ids in the order the standalone constructors do
+    /// (boundary, members, apex), then feeds a splitmix64 chain
+    /// (`h = splitmix64(h ^ word)`) these words:
+    ///
+    /// - the boundary size and the cone size, packed in one word;
+    /// - per boundary node, `width << 8 | is_const`, then a constant's
+    ///   value masked to its width;
+    /// - per member and the apex, `category | arity << 8 | width << 32`,
+    ///   then its aux, then its parents' 32-bit local ids, two to a word.
+    ///
+    /// The sizes and arities say where each record ends, so the word
+    /// stream and the standalone cone circuit determine each other:
+    /// equal cone circuits key equally regardless of host-graph ids, and
+    /// distinct ones share a key only through a 64-bit hash collision.
+    /// There is no cone-size cap beyond 32-bit local ids.
     fn cone_key(
         &mut self,
         g: &CircuitGraph,
@@ -155,28 +172,30 @@ impl KeyScratch {
             next += 1;
         }
 
-        let mix = |h: u64, v: u64| splitmix64(h ^ v);
-        let mut h = splitmix64(next as u64 ^ 0xC0DE_C0DE_C0DE_C0DE);
+        let local = |p: NodeId| self.local(p) as u64;
+        let mix = |h: u64, w: u64| splitmix64(h ^ w);
+        let sizes = boundary.len() as u64 | (next as u64) << 32;
+        let mut h = splitmix64(sizes ^ 0xC0DE_C0DE_C0DE_C0DE);
         for &b in boundary {
             let node = g.node(b);
+            let w = node.width() as u64;
             if node.ty() == NodeType::Const {
-                h = mix(h, 1);
-                h = mix(h, node.aux());
+                h = mix(h, w << 8 | 1);
+                h = mix(h, node.aux() & mask(node.width()));
             } else {
-                h = mix(h, 2);
+                h = mix(h, w << 8);
             }
-            h = mix(h, node.width() as u64);
         }
         for &m in members.iter().chain(std::iter::once(&apex)) {
             let node = g.node(m);
-            h = mix(h, node.ty().category() as u64);
-            h = mix(h, node.width() as u64);
-            h = mix(h, node.aux());
             let ps = g.parents(m);
-            h = mix(h, ps.len() as u64);
-            for &p in ps {
-                debug_assert_eq!(self.local_tag[p.index()], tag, "cone is parent-closed");
-                h = mix(h, self.local_id[p.index()] as u64);
+            debug_assert!(ps.len() < 1 << 24, "arity fits its field");
+            let attrs = node.ty().category() as u64 | (ps.len() as u64) << 8;
+            h = mix(h, attrs | (node.width() as u64) << 32);
+            h = mix(h, node.aux());
+            for pair in ps.chunks(2) {
+                let hi = pair.get(1).map_or(0, |&p| local(p));
+                h = mix(h, local(pair[0]) | hi << 32);
             }
         }
         h
@@ -192,6 +211,14 @@ impl KeyScratch {
         );
         self.local_id[id.index()] as usize
     }
+}
+
+/// Structural key a [`ConeSynthCache`] files the cone of `apex` under;
+/// `members` and `boundary` are what [`fanin_cone_into`] returns for
+/// `apex`. Equal keys mean equal standalone cone circuits (up to a
+/// 64-bit hash collision); exposed so that claim can be audited.
+pub fn cone_key(g: &CircuitGraph, apex: NodeId, members: &[NodeId], boundary: &[NodeId]) -> u64 {
+    KeyScratch::default().cone_key(g, boundary, members, apex)
 }
 
 /// Per-apex memo of the graph a view scored last: a snapshot of its
@@ -214,16 +241,29 @@ impl ApexMemo {
     /// attributes (or count) drop every area; otherwise an area goes
     /// only when its recorded cone holds a node whose parent list
     /// changed.
+    ///
+    /// Equal attributes imply equal arities, so a changed parent list
+    /// is normally rewritten in place in the CSR snapshot; only a
+    /// length change (or changed attributes) rebuilds it.
     fn sync(&mut self, g: &CircuitGraph) {
         let n = g.node_count();
         let same_nodes =
             self.nodes.len() == n && g.iter().all(|(id, node)| self.nodes[id.index()] == *node);
         if same_nodes {
             let mut any = false;
+            let mut same_shape = true;
             for (v, dirty) in self.dirty.iter_mut().enumerate() {
-                let old = &self.parents[self.offsets[v]..self.offsets[v + 1]];
-                *dirty = old != g.parents(NodeId::new(v));
-                any |= *dirty;
+                let old = &mut self.parents[self.offsets[v]..self.offsets[v + 1]];
+                let new = g.parents(NodeId::new(v));
+                *dirty = old != new;
+                if *dirty {
+                    any = true;
+                    if old.len() == new.len() {
+                        old.copy_from_slice(new);
+                    } else {
+                        same_shape = false;
+                    }
+                }
             }
             if !any {
                 return;
@@ -233,6 +273,9 @@ impl ApexMemo {
                 if area.is_some() && cone.iter().any(|m| dirty[m.index()]) {
                     *area = None;
                 }
+            }
+            if same_shape {
+                return;
             }
         } else {
             self.nodes.clear();
@@ -319,14 +362,15 @@ enum Published {
     Evicted,
 }
 
-/// The mutex-guarded part of one lock stripe: a key → slot index plus
-/// the slot arena the CLOCK hand sweeps. With `capacity == 0` the arena
+/// The mutex-guarded part of one lock stripe: a key → slot index
+/// (hashed pass-through: keys are already splitmix64-mixed) plus the
+/// slot arena the CLOCK hand sweeps. With `capacity == 0` the arena
 /// grows monotonically (the pre-bounding behavior); otherwise it holds
 /// at most `capacity` slots and inserts displace the second-chance
 /// victim.
 #[derive(Debug, Default)]
 struct ShardMap {
-    index: HashMap<u64, usize>,
+    index: HashMap<u64, usize, FpBuildHasher>,
     slots: Vec<Slot>,
     hand: usize,
 }
@@ -417,8 +461,9 @@ impl Shard {
 ///
 /// Keys are structural cone fingerprints (a splitmix64 chain over
 /// boundary kinds, member attributes and cone-local wiring — already
-/// uniformly mixed), striped over power-of-two shards by their low
-/// bits. Values are a pure function of
+/// uniformly mixed), striped over power-of-two shards by bits 32 and
+/// up, so the low bits the in-shard map indexes by stay uniform within
+/// a shard. Values are a pure function of
 /// the key, so concurrent insertion races are benign: every racer
 /// computes identical bits, and publishing keeps the first.
 ///
@@ -563,7 +608,7 @@ impl SharedConeSynthCache {
     }
 
     fn shard(&self, key: u64) -> &Shard {
-        &self.shards[(key & self.mask) as usize]
+        &self.shards[((key >> 32) & self.mask) as usize]
     }
 
     /// Memoized area for `key`, synthesizing with `synth` on a miss.
@@ -834,6 +879,35 @@ mod tests {
             "structurally identical cones must share a cache entry: {:?}",
             ev.stats()
         );
+    }
+
+    /// Whether the memo's CSR snapshot lists exactly `g`'s parents.
+    fn snapshot_matches(memo: &ApexMemo, g: &CircuitGraph) -> bool {
+        memo.offsets.len() == g.node_count() + 1
+            && g.node_ids().all(|v| {
+                memo.parents[memo.offsets[v.index()]..memo.offsets[v.index() + 1]] == *g.parents(v)
+            })
+    }
+
+    #[test]
+    fn memo_snapshot_is_patched_in_place_or_rebuilt() {
+        let (alive, _) = alive_and_dead();
+        let (i1, x, r, o) = (NodeId::new(0), NodeId::new(2), NodeId::new(3), NodeId::new(4));
+        let mut memo = ApexMemo::default();
+        memo.sync(&alive);
+        assert!(snapshot_matches(&memo, &alive));
+        // Same attributes, one edge moved: the list is patched in place.
+        let mut moved = alive.clone();
+        moved.set_parent_slot(x, 1, i1);
+        memo.sync(&moved);
+        assert!(snapshot_matches(&memo, &moved));
+        // Same attributes, a list of another length: the CSR is rebuilt.
+        let mut longer = moved.clone();
+        longer.set_parents_unchecked(o, &[r, x]);
+        memo.sync(&longer);
+        assert!(snapshot_matches(&memo, &longer));
+        memo.sync(&alive);
+        assert!(snapshot_matches(&memo, &alive));
     }
 
     #[test]

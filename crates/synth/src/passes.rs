@@ -17,6 +17,8 @@
 
 use crate::area::{area_of_graph, gate_count, CellLibrary};
 use std::collections::HashMap;
+use std::hash::Hasher;
+use syncircuit_graph::hash::FxHasher;
 use syncircuit_graph::interp::eval_op;
 use syncircuit_graph::{mask, CircuitGraph, Node, NodeId, NodeType};
 
@@ -103,7 +105,7 @@ impl Slots {
 }
 
 /// Working state of one synthesis run: node attributes, wiring and the
-/// replacement map, plus the CSE map and liveness buffers. Loaded either
+/// replacement map, plus the CSE table and liveness buffers. Loaded either
 /// from a whole graph ([`optimized_area`], [`optimize_with`]) or straight
 /// from a cone of a host graph ([`cone_optimized_area`]); reusing one
 /// scratch keeps repeated runs allocation-free once its buffers are warm.
@@ -112,7 +114,7 @@ pub struct AreaScratch {
     nodes: Vec<Node>,
     parents: Vec<Slots>,
     repl: Vec<Option<usize>>,
-    cse: CseMap,
+    cse: CseTable,
     live: Vec<bool>,
     stack: Vec<usize>,
 }
@@ -137,6 +139,7 @@ impl AreaScratch {
     /// Runs the fold/CSE fixpoint on the loaded state.
     fn run_fixpoint(&mut self) {
         let n = self.nodes.len();
+        assert!(n < u32::MAX as usize, "CSE keys hold 32-bit node indices");
         self.repl.clear();
         self.repl.resize(n, None);
         let mut rounds = 0usize;
@@ -471,20 +474,89 @@ fn all_ones_side(const_vals: &[Option<u64>], w: u32) -> Option<usize> {
         .position(|&v| v.is_some_and(|x| x & mask(w) == mask(w)))
 }
 
+/// Packed CSE key: `[type | arity << 8 | width << 32, aux, p0 | p1 << 32,
+/// p2]`, where `p*` are the resolved 32-bit parent indices, padded with
+/// `u32::MAX` past the arity.
+type CseKey = [u64; 4];
+
+/// One slot of a [`CseTable`]: a key, the round stamp that makes the
+/// slot live, and the first node index that carried the key.
+#[derive(Clone, Copy, Debug, Default)]
+struct CseSlot {
+    key: CseKey,
+    stamp: u32,
+    canon: u32,
+}
+
+/// Open-addressing (linear probing) table of the CSE keys seen in one
+/// round. A round uses a power-of-two prefix of at least twice the node
+/// count, so probes always find a free slot; starting a round bumps the
+/// stamp instead of clearing, and the buffer only ever grows.
+#[derive(Debug, Default)]
+struct CseTable {
+    slots: Vec<CseSlot>,
+    mask: usize,
+    stamp: u32,
+}
+
+impl CseTable {
+    /// Starts a round over `n` nodes: every slot becomes free.
+    fn begin_round(&mut self, n: usize) {
+        let cap = (2 * n).next_power_of_two().max(2);
+        if self.slots.len() < cap {
+            self.slots.resize(cap, CseSlot::default());
+        }
+        self.mask = cap - 1;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.iter_mut().for_each(|s| s.stamp = 0);
+            self.stamp = 1;
+        }
+    }
+
+    /// The first node index that carried `key` this round; records `u`
+    /// (and returns it) when the key is new.
+    #[inline]
+    fn first_or_insert(&mut self, key: CseKey, u: u32) -> u32 {
+        let mut h = FxHasher::default();
+        key.iter().for_each(|&w| h.write_u64(w));
+        let mut i = h.finish() as usize & self.mask;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.stamp != self.stamp {
+                *slot = CseSlot {
+                    key,
+                    stamp: self.stamp,
+                    canon: u,
+                };
+                return u;
+            }
+            if slot.key == key {
+                return slot.canon;
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    /// Sets the stamp so the next rounds exercise the wraparound.
+    #[cfg(test)]
+    fn force_stamp(&mut self, stamp: u32) {
+        self.stamp = stamp;
+    }
+}
+
 /// Common-subexpression elimination. Inputs and outputs never merge;
 /// constants, combinational nodes and registers with identical
 /// (type, width, aux, parents) do. Commutative operators sort their
-/// parent pair before keying.
+/// parent pair before keying. The first node (in index order) carrying
+/// a key is its canonical copy; later ones are replaced by it.
 ///
-/// Keys are `Copy` stack tuples (arity ≤ 3, padded with `usize::MAX`
-/// and disambiguated by the explicit length), so the per-node `Vec`
-/// key allocations of the original implementation are gone; the map
-/// itself is caller-owned scratch reused across fixpoint rounds.
-type CseKey = (NodeType, u32, u64, [usize; 3], u8);
-type CseMap = HashMap<CseKey, usize>;
-
-fn cse(nodes: &[Node], parents: &[Slots], repl: &mut [Option<usize>], seen: &mut CseMap) -> bool {
-    seen.clear();
+/// Keys are packed into four words (arity ≤ 3, 32-bit indices) and
+/// looked up in a stamped open-addressing table owned by the caller's
+/// scratch and reused across fixpoint rounds, so a round allocates
+/// nothing and clears nothing.
+fn cse(nodes: &[Node], parents: &[Slots], repl: &mut [Option<usize>], seen: &mut CseTable) -> bool {
+    seen.begin_round(nodes.len());
     let mut changed = false;
     for u in 0..nodes.len() {
         if repl[u].is_some() {
@@ -495,9 +567,9 @@ fn cse(nodes: &[Node], parents: &[Slots], repl: &mut [Option<usize>], seen: &mut
             continue;
         }
         let len = parents[u].len();
-        let mut ps = [usize::MAX; 3];
+        let mut ps = [u32::MAX; 3];
         for (slot, p) in ps.iter_mut().enumerate().take(len) {
-            *p = resolve(repl, parents[u].p[slot]);
+            *p = resolve(repl, parents[u].p[slot]) as u32;
         }
         if matches!(
             ty,
@@ -505,18 +577,16 @@ fn cse(nodes: &[Node], parents: &[Slots], repl: &mut [Option<usize>], seen: &mut
         ) {
             ps[..len].sort_unstable();
         }
-        let key = (ty, nodes[u].width(), nodes[u].aux(), ps, len as u8);
-        match seen.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let canon = *e.get();
-                if canon != u {
-                    repl[u] = Some(canon);
-                    changed = true;
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(u);
-            }
+        let key = [
+            ty as u64 | (len as u64) << 8 | (nodes[u].width() as u64) << 32,
+            nodes[u].aux(),
+            ps[0] as u64 | (ps[1] as u64) << 32,
+            ps[2] as u64,
+        ];
+        let canon = seen.first_or_insert(key, u as u32) as usize;
+        if canon != u {
+            repl[u] = Some(canon);
+            changed = true;
         }
     }
     changed
@@ -792,6 +862,73 @@ mod tests {
             assert_eq!(ports, 1, "cone of {apex} has exactly one port");
             assert_eq!(area.to_bits(), optimized_area(&oracle, &lib).to_bits());
         }
+    }
+
+    /// A stream of `n` keys drawn from a pool of `distinct` keys; pool
+    /// keys often differ from each other in a single word.
+    fn key_stream(rng: &mut impl rand::Rng, n: usize, distinct: usize) -> Vec<CseKey> {
+        let base: CseKey = [rng.gen(), rng.gen(), rng.gen(), rng.gen()];
+        let pool: Vec<CseKey> = (0..distinct.max(1))
+            .map(|_| {
+                let mut k = base;
+                k[rng.gen_range(0..4usize)] = rng.gen_range(0..4u64);
+                if rng.gen_bool(0.5) {
+                    k = [rng.gen(), rng.gen(), rng.gen(), rng.gen()];
+                }
+                k
+            })
+            .collect();
+        (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
+    }
+
+    /// Runs `keys` through `table` as one round, checking every answer
+    /// against a `HashMap` in which the first index per key wins.
+    fn check_round(table: &mut CseTable, keys: &[CseKey]) {
+        table.begin_round(keys.len());
+        let mut reference: HashMap<CseKey, u32> = HashMap::new();
+        for (u, &key) in keys.iter().enumerate() {
+            let want = *reference.entry(key).or_insert(u as u32);
+            assert_eq!(table.first_or_insert(key, u as u32), want, "key {u} of {}", keys.len());
+        }
+    }
+
+    #[test]
+    fn cse_table_matches_hashmap_across_sizes() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC5E);
+        let mut table = CseTable::default();
+        let mut n = 4;
+        while n <= 4096 {
+            for distinct in [1, n / 8, n / 2, n] {
+                check_round(&mut table, &key_stream(&mut rng, n, distinct));
+            }
+            n *= 2;
+        }
+        // Shrinking back reuses a prefix of the grown buffer.
+        for n in [4, 37, 300] {
+            check_round(&mut table, &key_stream(&mut rng, n, n / 3));
+        }
+    }
+
+    #[test]
+    fn cse_table_survives_stamp_wraparound() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x3A9);
+        let first = key_stream(&mut rng, 64, 16);
+        let other = key_stream(&mut rng, 64, 16);
+        let mut table = CseTable::default();
+        // The round stamped 1 leaves slots that the wrapped stamp would
+        // revive if the wraparound did not clear them: the same keys in
+        // another order must get their new first indices.
+        check_round(&mut table, &first);
+        table.force_stamp(u32::MAX - 2);
+        check_round(&mut table, &other);
+        check_round(&mut table, &other);
+        let mut rotated = first.clone();
+        rotated.rotate_left(5);
+        check_round(&mut table, &rotated);
+        assert_eq!(table.stamp, 1, "the stamp wrapped");
+        check_round(&mut table, &rotated);
     }
 
     #[test]

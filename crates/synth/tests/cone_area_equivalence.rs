@@ -124,3 +124,134 @@ fn sink_apex_gets_no_extra_port() {
     assert!(optimized_area(&oracle, &lib) > 0.0);
     assert_eq!(check_all_apexes(&g, &lib, &mut AreaScratch::new()), 1);
 }
+
+/// A standalone cone circuit as plain data: every node with its parent
+/// indices (the circuit's name is not structure).
+type Structure = Vec<(Node, Vec<usize>)>;
+
+fn structure(g: &CircuitGraph) -> Structure {
+    g.iter()
+        .map(|(id, node)| (*node, g.parents(id).iter().map(|p| p.index()).collect()))
+        .collect()
+}
+
+/// A valid circuit whose combinational logic is mostly 2:1 muxes
+/// (arity 3, the only parent list the cone key packs into two words).
+/// Combinational parents come from lower-indexed non-register nodes or
+/// any register, so every cycle passes through a register.
+fn mux_heavy_circuit(rng: &mut StdRng, n: usize) -> CircuitGraph {
+    use rand::Rng;
+    let mut g = CircuitGraph::new("muxes");
+    let widths = [1u32, 4, 8];
+    let mut drivers = Vec::new();
+    for _ in 0..3 {
+        drivers.push(g.add_node(NodeType::Input, widths[rng.gen_range(0..3usize)]));
+    }
+    drivers.push(g.add_const(1, rng.gen_range(0..2u64)));
+    drivers.push(g.add_const(8, rng.gen()));
+    let regs: Vec<NodeId> = (0..n / 6)
+        .map(|_| g.add_node(NodeType::Reg, widths[rng.gen_range(0..3usize)]))
+        .collect();
+    drivers.extend_from_slice(&regs);
+    for _ in 0..n {
+        let ty = match rng.gen_range(0..10u32) {
+            0 => NodeType::Not,
+            1 => NodeType::And,
+            _ => NodeType::Mux,
+        };
+        let node = g.add_node(ty, widths[rng.gen_range(0..3usize)]);
+        // A small window of drivers makes shared and duplicated parents
+        // (and so structurally equal cones) common.
+        let lo = drivers.len().saturating_sub(12);
+        let parents: Vec<NodeId> = (0..ty.arity())
+            .map(|_| drivers[rng.gen_range(lo..drivers.len())])
+            .collect();
+        g.set_parents(node, &parents).unwrap();
+        drivers.push(node);
+    }
+    for &r in &regs {
+        let d = drivers[rng.gen_range(0..drivers.len())];
+        g.set_parents(r, &[d]).unwrap();
+    }
+    for _ in 0..3 {
+        let d = drivers[rng.gen_range(0..drivers.len())];
+        let o = g.add_node(NodeType::Output, g.node(d).width());
+        g.set_parents(o, &[d]).unwrap();
+    }
+    assert!(g.is_valid(), "{:?}", g.validate());
+    g
+}
+
+/// Copies of `g` that each rewire one parent slot of one mux (every
+/// slot, the select and both data inputs, in turn) to another driver
+/// that keeps the circuit valid: cones that differ in exactly one
+/// packed parent id.
+fn rewired_copies(g: &CircuitGraph, rng: &mut StdRng) -> Vec<CircuitGraph> {
+    use rand::Rng;
+    let muxes = g.nodes_of_type(NodeType::Mux);
+    let mut copies = Vec::new();
+    for (k, &m) in muxes.iter().enumerate().take(12) {
+        let slot = k % 3;
+        let drivers: Vec<NodeId> = g
+            .iter()
+            .filter(|(id, node)| id.index() < m.index() || node.ty() == NodeType::Reg)
+            .filter(|(id, node)| node.ty() != NodeType::Output && *id != g.parents(m)[slot])
+            .map(|(id, _)| id)
+            .collect();
+        let mut copy = g.clone();
+        copy.set_parent_slot(m, slot, drivers[rng.gen_range(0..drivers.len())]);
+        assert!(copy.is_valid(), "{:?}", copy.validate());
+        copies.push(copy);
+    }
+    copies
+}
+
+#[test]
+fn equal_cone_keys_mean_equal_cone_circuits() {
+    use syncircuit_synth::incremental::cone_key;
+    let lib = CellLibrary::default();
+    let mut rng = StdRng::seed_from_u64(0xC0_4E);
+    let mut graphs: Vec<CircuitGraph> = (0..320)
+        .map(|k| random_circuit_with_size(&mut rng, 10 + (k * 37) % 201))
+        .collect();
+    for k in 0..40 {
+        let g = mux_heavy_circuit(&mut rng, 12 + k * 3);
+        graphs.extend(rewired_copies(&g, &mut rng));
+        graphs.push(g);
+    }
+
+    let mut seen: HashMap<u64, (Structure, u64)> = HashMap::new();
+    let mut by_structure: HashMap<Structure, u64> = HashMap::new();
+    let (mut cones, mut repeats, mut mux_cones) = (0, 0, 0);
+    let mut cone = ConeScratch::new();
+    for g in &graphs {
+        for (apex, node) in g.iter() {
+            if !matches!(node.ty(), NodeType::Reg | NodeType::Output) {
+                continue;
+            }
+            let (members, boundary) = fanin_cone_into(g, apex, &mut cone);
+            let key = cone_key(g, apex, members, boundary);
+            let circuit = cone_circuit_parts(g, apex, members, boundary).circuit;
+            let area = optimized_area(&circuit, &lib).to_bits();
+            let shape = structure(&circuit);
+            cones += 1;
+            mux_cones += usize::from(members.iter().any(|&m| g.ty(m) == NodeType::Mux));
+            match seen.get(&key) {
+                Some((first, first_area)) => {
+                    repeats += 1;
+                    assert_eq!(first, &shape, "{}: cone of {apex} shares key {key:#x}", g.name());
+                    assert_eq!(*first_area, area, "{}: cone of {apex}", g.name());
+                }
+                None => {
+                    let clash = by_structure.insert(shape.clone(), key);
+                    assert!(clash.is_none(), "one structure, two keys");
+                    seen.insert(key, (shape, area));
+                }
+            }
+        }
+    }
+    assert!(cones > 4000, "audit covers many cones: {cones}");
+    assert!(repeats > 1000, "equal cones recur, so equal keys are exercised: {repeats}");
+    assert!(mux_cones > 500, "arity-3 members are exercised: {mux_cones}");
+    assert_eq!(seen.len(), by_structure.len());
+}
